@@ -2,8 +2,7 @@
 
 use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shape, SoaPdfField};
 use trillium_kernels::{
-    apply_boundaries, apply_boundaries_ghost, apply_boundaries_interior, Backend, BackendKind,
-    BoundaryParams, Collision, SweepStats,
+    Backend, BackendKind, BoundaryLinks, BoundaryParams, Collision, SweepStats,
 };
 use trillium_lattice::{Relaxation, D3Q19};
 
@@ -44,12 +43,16 @@ pub struct BlockSim {
     /// Destination PDF field (unused between steps under
     /// [`UpdateScheme::InPlace`]).
     pub dst: SoaPdfField<D3Q19>,
-    /// Cell classification.
+    /// Cell classification. Fixed after construction: the block's
+    /// [`BoundaryLinks`] and row intervals are derived from it once.
     pub flags: FlagField,
     /// Row intervals for the sparse kernel (built from `flags`).
     pub intervals: RowIntervals,
     /// Boundary-condition parameters.
     pub boundary: BoundaryParams,
+    /// Boundary links (built from `flags`), walked by the boundary sweeps
+    /// and the momentum-exchange force.
+    links: BoundaryLinks,
     /// Kernel choice for this block.
     pub kernel: BlockKernel,
     /// Update scheme for this block — the *resolved* scheme that actually
@@ -98,6 +101,7 @@ impl BlockSim {
         let dst = SoaPdfField::new(shape);
         src.fill_equilibrium(rho, u);
         let intervals = RowIntervals::build(&flags);
+        let links = BoundaryLinks::build::<D3Q19>(&flags);
         let kernel = if intervals.fluid_cells == shape.interior_cells() {
             BlockKernel::Dense
         } else {
@@ -114,6 +118,7 @@ impl BlockSim {
             flags,
             intervals,
             boundary,
+            links,
             kernel,
             scheme: resolved,
             requested_scheme: scheme,
@@ -164,10 +169,15 @@ impl BlockSim {
         }
     }
 
+    /// The block's boundary links.
+    pub fn links(&self) -> &BoundaryLinks {
+        &self.links
+    }
+
     /// Runs the boundary sweep on the source field (call after ghost
     /// synchronization, before [`BlockSim::stream_collide`]).
     pub fn apply_boundaries(&mut self) {
-        apply_boundaries::<D3Q19, _>(&mut self.src, &self.flags, &self.boundary);
+        self.links.apply::<D3Q19, _>(&mut self.src, &self.boundary);
     }
 
     /// Boundary sweep restricted to *interior* wall cells (obstacles).
@@ -177,13 +187,13 @@ impl BlockSim {
     /// after the block's ghost slabs have been unpacked; the two together
     /// are bitwise identical to one [`BlockSim::apply_boundaries`].
     pub fn apply_boundaries_interior(&mut self) {
-        apply_boundaries_interior::<D3Q19, _>(&mut self.src, &self.flags, &self.boundary);
+        self.links.apply_interior::<D3Q19, _>(&mut self.src, &self.boundary);
     }
 
     /// Boundary sweep restricted to *ghost-layer* wall cells. Must run
     /// after the ghost exchange for this block has completed.
     pub fn apply_boundaries_ghost(&mut self) {
-        apply_boundaries_ghost::<D3Q19, _>(&mut self.src, &self.flags, &self.boundary);
+        self.links.apply_ghost::<D3Q19, _>(&mut self.src, &self.boundary);
     }
 
     /// Makes the block periodic along the selected axes by copying its own
@@ -368,11 +378,7 @@ impl BlockSim {
     /// (drag/lift evaluation). Call between [`BlockSim::apply_boundaries`]
     /// and [`BlockSim::stream_collide`].
     pub fn boundary_force(&self, mask: CellFlags) -> [f64; 3] {
-        trillium_kernels::boundary::momentum_exchange_force::<D3Q19, _>(
-            &self.src,
-            &self.flags,
-            mask,
-        )
+        self.links.momentum_exchange_force::<D3Q19, _>(&self.src, mask)
     }
 
     /// True if the interior contains a non-finite PDF (stability check).

@@ -10,12 +10,15 @@
 //! implementation:
 //!
 //! * [`PortableBackend`] — the portable split-loop SoA kernels
-//!   ([`crate::soa`], the scalar paths of [`crate::inplace`]); runs on
-//!   any host.
+//!   ([`crate::soa`], [`crate::sparse`], the portable paths of
+//!   [`crate::inplace`]); runs on any host. Each of these sweeps is one
+//!   source compiled twice (`crate::multiversion`): a baseline instance
+//!   and an AVX2+FMA instance, picked per call from the host's features.
 //! * [`Avx2Backend`] — the AVX2+FMA intrinsics paths ([`crate::avx`],
-//!   the vectorized paths of [`crate::inplace`]); resolves to
-//!   [`PortableBackend`] when the CPU lacks AVX2+FMA (same contract as
-//!   [`crate::dispatch::Tier::resolve`]).
+//!   the vectorized paths of [`crate::inplace`]) for dense blocks;
+//!   resolves to [`PortableBackend`] when the CPU lacks AVX2+FMA (same
+//!   contract as [`crate::dispatch::Tier::resolve`]). Sparse blocks run
+//!   the same compiled row-interval sweep as [`PortableBackend`].
 //! * [`WorkgroupBackend`] — a GPU-*style* execution shape run on the CPU
 //!   for correctness: the sweep region is tiled into fixed-size
 //!   work-groups (the CTA/thread-block analogue), iterated in grid
@@ -27,17 +30,25 @@
 //!
 //! # Bitwise equivalence across backends
 //!
-//! All three backends produce **bitwise identical** PDFs. Two properties
-//! make this hold:
+//! All three backends produce **bitwise identical** PDFs. Three
+//! properties make this hold:
 //!
-//! 1. the portable kernels perform the *same fused (`mul_add`) operation
-//!    sequence* as the AVX2 lanes and their scalar tails, and
-//!    `f64::mul_add` is the IEEE correctly-rounded fused operation on
-//!    every host;
-//! 2. sweeping any partition of the interior region by region is bitwise
+//! 1. the portable kernels are one source compiled per target. Both
+//!    compiled instances round identically: `f64::mul_add` is the IEEE
+//!    correctly rounded fused operation whether it lowers to `vfmadd`
+//!    (AVX2+FMA instance) or to the software `fma` (baseline instance),
+//!    LLVM never contracts a plain `a * b + c`, and the element-wise
+//!    loops reorder no reduction;
+//! 2. the intrinsics kernels perform the *same fused operation sequence*
+//!    as that source, in their vector lanes and their scalar tails;
+//! 3. sweeping any partition of the interior region by region is bitwise
 //!    identical to one full sweep (the slot-ownership/element-wise
 //!    argument pinned by `region_partition_is_bitwise_identical`), so
 //!    the workgroup tiling cannot change results either.
+//!
+//! A host without FMA runs the baseline instance everywhere. It is slow
+//! (every `mul_add` is a library call and the loops do not vectorize),
+//! but it computes the same bits as an AVX2+FMA host.
 //!
 //! This is not a luxury: the heterogeneous partitioner migrates blocks
 //! *between* backends mid-run, and the resilience layer replays steps
@@ -313,8 +324,8 @@ impl Backend for Avx2Backend {
         rel: Relaxation,
         region: &Region,
     ) -> SweepStats {
-        // The row-interval kernel is shared: its spans are swept by the
-        // same split-loop passes on both CPU backends.
+        // The row-interval kernel is shared: both CPU backends run the
+        // same compiled instance of it.
         PortableBackend.sweep_sparse_region(collision, src, dst, intervals, rel, region)
     }
 }

@@ -34,18 +34,20 @@
 //!
 //! The sweeps here perform, per lattice cell, the *identical* sequence of
 //! floating-point operations as the resolved pull tier: when AVX2+FMA is
-//! available the vectorized paths mirror [`crate::avx`] instruction for
-//! instruction (including the fused scalar tail), otherwise the portable
-//! paths mirror [`crate::soa`]. Only load/store *addresses* differ, so an
-//! in-place run is bitwise identical to a pull run step for step — the
-//! equivalence the dispatch and driver tests assert.
+//! available the intrinsics paths mirror [`crate::avx`] instruction for
+//! instruction (including the fused scalar tail); the portable paths
+//! mirror [`crate::soa`] expression for expression and are compiled per
+//! target like it (`crate::multiversion`). Only load/store *addresses*
+//! differ, so an in-place run is bitwise identical to a pull run step for
+//! step — the equivalence the dispatch and driver tests assert.
 //!
 //! The kernels never flip [`SoaPdfField::parity`] themselves: a full
 //! interior update may be split across region calls (interior core +
 //! shell), so the owner of the step (e.g. `trillium-core`'s `BlockSim`)
 //! flips the flag exactly once after the last region of a sweep.
 
-use crate::soa::RowScratch;
+use crate::multiversion::multiversion;
+use crate::soa::{row_chunks, RowScratch};
 use crate::stats::SweepStats;
 use trillium_field::{PdfField, Region, Shape, SoaPdfField};
 use trillium_lattice::d3q19::{C, INVERSE, PAIRS, Q, W as WEIGHTS};
@@ -104,8 +106,9 @@ pub fn stream_collide_srt_region(
 }
 
 /// [`stream_collide_trt_region`] pinned to the portable (non-intrinsics)
-/// path regardless of host SIMD support — the in-place sweep of the
-/// portable and workgroup backends. Bitwise identical to the vectorized
+/// source — the in-place sweep of the portable and workgroup backends. The
+/// source is compiled per target (`crate::multiversion`), so AVX2+FMA
+/// hosts run its vectorized instance. Bitwise identical to the intrinsics
 /// path because both perform the same fused operation sequence.
 pub fn stream_collide_trt_portable_region(
     f: &mut SoaPdfField<D3Q19>,
@@ -130,13 +133,15 @@ pub fn stream_collide_srt_portable_region(
 /// per-direction line pointers into the single buffer. Raw pointers are
 /// required because the in-place pair passes read and write the same two
 /// lines (each element is loaded before its slot is overwritten).
-fn line_ptrs(f: &mut SoaPdfField<D3Q19>, region: &Region) -> (Shape, Vec<*mut f64>) {
+#[inline(always)]
+fn line_ptrs(f: &mut SoaPdfField<D3Q19>, region: &Region) -> (Shape, [*mut f64; Q]) {
     let shape = f.shape();
     assert!(shape.ghost >= 1);
     debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
     let alloc = shape.alloc_cells();
     let base = f.data_mut().as_mut_ptr();
-    (shape, (0..Q).map(|q| unsafe { base.add(q * alloc) }).collect())
+    // SAFETY: `q * alloc` stays inside the `Q * alloc`-element buffer.
+    (shape, std::array::from_fn(|q| unsafe { base.add(q * alloc) }))
 }
 
 /// Pull-style row offset of direction `q` (cells, in linear index units).
@@ -145,8 +150,9 @@ fn offq(q: usize, sy: isize, sz: isize) -> isize {
     C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz
 }
 
-/// Portable in-place sweeps mirroring [`crate::soa`]'s arithmetic.
-mod scalar {
+/// Portable in-place sweeps mirroring [`crate::soa`]'s arithmetic,
+/// compiled once per target (`crate::multiversion`).
+pub(crate) mod scalar {
     use super::*;
 
     /// Moment + finalize passes of one row. At parity 0 this reads the
@@ -158,6 +164,7 @@ mod scalar {
     /// # Safety
     /// `lines[q] + base ± offsets` must stay inside the allocation for
     /// `n` elements — guaranteed for interior rows with `ghost >= 1`.
+    #[inline(always)]
     unsafe fn moment_passes(
         lines: &[*mut f64],
         parity: bool,
@@ -236,132 +243,148 @@ mod scalar {
         }
     }
 
-    pub fn stream_collide_trt(
-        f: &mut SoaPdfField<D3Q19>,
-        rel: Relaxation,
-        region: &Region,
-    ) -> SweepStats {
-        let parity = f.parity();
-        let (shape, lines) = line_ptrs(f, region);
-        let (le, lo) = (rel.lambda_e, rel.lambda_o);
-        let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-        let n = region.x.len();
-        if n == 0 {
-            return SweepStats::dense(0);
-        }
-        let mut scr = RowScratch::new(n);
+    multiversion! {
+        /// Portable in-place TRT sweep of `region`, compiled once per
+        /// target (`crate::multiversion`).
+        pub fn stream_collide_trt, stream_collide_trt_on(
+            f: &mut SoaPdfField<D3Q19>,
+            rel: Relaxation,
+            region: &Region,
+        ) -> SweepStats {
+            let parity = f.parity();
+            let (shape, lines) = line_ptrs(f, region);
+            let (le, lo) = (rel.lambda_e, rel.lambda_o);
+            let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
+            if region.x.is_empty() {
+                return SweepStats::dense(0);
+            }
+            let mut scr = RowScratch::new();
 
-        for z in region.z.clone() {
-            for y in region.y.clone() {
-                let base = shape.idx(region.x.start, y, z);
-                // SAFETY: interior rows with ghost >= 1; slot ownership
-                // (module docs) makes the in-place stores race-free.
-                unsafe {
-                    moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
+            for z in region.z.clone() {
+                for y in region.y.clone() {
+                    let row = shape.idx(region.x.start, y, z);
+                    for (o, n) in row_chunks(region.x.len()) {
+                        let base = row + o;
+                        // SAFETY: interior rows with ghost >= 1; slot ownership
+                        // (module docs) makes the in-place stores race-free.
+                        unsafe {
+                            moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
 
-                    // Rest direction: the canonical slot at either parity.
-                    {
-                        let p0 = lines[0].add(base);
-                        let w0 = WEIGHTS[0];
-                        for x in 0..n {
-                            let s0 = *p0.add(x);
-                            let feq = w0 * (scr.rho[x] * scr.base[x]);
-                            *p0.add(x) = le.mul_add(s0 - feq, s0);
-                        }
-                    }
+                            // Rest direction: the canonical slot at either parity.
+                            {
+                                let p0 = lines[0].add(base);
+                                let w0 = WEIGHTS[0];
+                                for x in 0..n {
+                                    let s0 = *p0.add(x);
+                                    let feq = w0 * (scr.rho[x] * scr.base[x]);
+                                    *p0.add(x) = le.mul_add(s0 - feq, s0);
+                                }
+                            }
 
-                    for &(a, b) in PAIRS.iter() {
-                        let oa = offq(a, sy, sz);
-                        let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
-                        let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-                        let wq = WEIGHTS[a];
-                        for x in 0..n {
-                            let cu =
-                                c[2].mul_add(scr.uz[x], c[1].mul_add(scr.uy[x], c[0] * scr.ux[x]));
-                            let t = wq * scr.rho[x];
-                            let feq_even = t * (4.5f64.mul_add(cu * cu, scr.base[x]));
-                            let feq_odd = (3.0 * t) * cu;
-                            let fa = *sa.add(x);
-                            let fb = *sb.add(x);
-                            let d_even = le * (0.5 * (fa + fb) - feq_even);
-                            let d_odd = lo * (0.5 * (fa - fb) - feq_odd);
-                            *da.add(x) = fa + (d_even + d_odd);
-                            *db.add(x) = fb + (d_even - d_odd);
+                            for &(a, b) in PAIRS.iter() {
+                                let oa = offq(a, sy, sz);
+                                let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
+                                let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
+                                let wq = WEIGHTS[a];
+                                for x in 0..n {
+                                    let cu = c[2]
+                                        .mul_add(scr.uz[x], c[1].mul_add(scr.uy[x], c[0] * scr.ux[x]));
+                                    let t = wq * scr.rho[x];
+                                    let feq_even = t * (4.5f64.mul_add(cu * cu, scr.base[x]));
+                                    let feq_odd = (3.0 * t) * cu;
+                                    let fa = *sa.add(x);
+                                    let fb = *sb.add(x);
+                                    let d_even = le * (0.5 * (fa + fb) - feq_even);
+                                    let d_odd = lo * (0.5 * (fa - fb) - feq_odd);
+                                    *da.add(x) = fa + (d_even + d_odd);
+                                    *db.add(x) = fb + (d_even - d_odd);
+                                }
+                            }
                         }
                     }
                 }
             }
+            SweepStats::dense(region.num_cells() as u64)
         }
-        SweepStats::dense(region.num_cells() as u64)
     }
 
-    pub fn stream_collide_srt(
-        f: &mut SoaPdfField<D3Q19>,
-        rel: Relaxation,
-        region: &Region,
-    ) -> SweepStats {
-        let parity = f.parity();
-        let (shape, lines) = line_ptrs(f, region);
-        let omega = -rel.lambda_e;
-        let om1 = 1.0 - omega;
-        let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-        let n = region.x.len();
-        if n == 0 {
-            return SweepStats::dense(0);
-        }
-        let mut scr = RowScratch::new(n);
+    multiversion! {
+        /// Portable in-place SRT sweep of `region`, compiled once per
+        /// target (`crate::multiversion`).
+        pub fn stream_collide_srt, stream_collide_srt_on(
+            f: &mut SoaPdfField<D3Q19>,
+            rel: Relaxation,
+            region: &Region,
+        ) -> SweepStats {
+            let parity = f.parity();
+            let (shape, lines) = line_ptrs(f, region);
+            let omega = -rel.lambda_e;
+            let om1 = 1.0 - omega;
+            let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
+            if region.x.is_empty() {
+                return SweepStats::dense(0);
+            }
+            let mut scr = RowScratch::new();
 
-        for z in region.z.clone() {
-            for y in region.y.clone() {
-                let base = shape.idx(region.x.start, y, z);
-                // SAFETY: see the TRT sweep.
-                unsafe {
-                    moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
+            for z in region.z.clone() {
+                for y in region.y.clone() {
+                    let row = shape.idx(region.x.start, y, z);
+                    for (o, n) in row_chunks(region.x.len()) {
+                        let base = row + o;
+                        // SAFETY: see the TRT sweep.
+                        unsafe {
+                            moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
 
-                    {
-                        let p0 = lines[0].add(base);
-                        // cu = 0 for the rest direction, so `inner` is
-                        // just the equilibrium base term.
-                        let tw = omega * WEIGHTS[0];
-                        for x in 0..n {
-                            let inner = scr.base[x];
-                            let t = tw * scr.rho[x];
-                            *p0.add(x) = om1.mul_add(*p0.add(x), t * inner);
-                        }
-                    }
+                            {
+                                let p0 = lines[0].add(base);
+                                // cu = 0 for the rest direction, so `inner` is
+                                // just the equilibrium base term.
+                                let tw = omega * WEIGHTS[0];
+                                for x in 0..n {
+                                    let inner = scr.base[x];
+                                    let t = tw * scr.rho[x];
+                                    *p0.add(x) = om1.mul_add(*p0.add(x), t * inner);
+                                }
+                            }
 
-                    // Unlike the pull kernel, opposite directions must be
-                    // processed jointly: direction `a`'s store lands in the
-                    // slot direction `b` reads. Each element still sees the
-                    // by-direction pull arithmetic verbatim.
-                    for &(a, b) in PAIRS.iter() {
-                        let oa = offq(a, sy, sz);
-                        let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
-                        let ca = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-                        let cb = [C[b][0] as f64, C[b][1] as f64, C[b][2] as f64];
-                        let twa = omega * WEIGHTS[a];
-                        let twb = omega * WEIGHTS[b];
-                        for x in 0..n {
-                            let fa = *sa.add(x);
-                            let fb = *sb.add(x);
-                            let cua = ca[2]
-                                .mul_add(scr.uz[x], ca[1].mul_add(scr.uy[x], ca[0] * scr.ux[x]));
-                            let inner_a =
-                                3.0f64.mul_add(cua, 4.5f64.mul_add(cua * cua, scr.base[x]));
-                            let ta = twa * scr.rho[x];
-                            let cub = cb[2]
-                                .mul_add(scr.uz[x], cb[1].mul_add(scr.uy[x], cb[0] * scr.ux[x]));
-                            let inner_b =
-                                3.0f64.mul_add(cub, 4.5f64.mul_add(cub * cub, scr.base[x]));
-                            let tb = twb * scr.rho[x];
-                            *da.add(x) = om1.mul_add(fa, ta * inner_a);
-                            *db.add(x) = om1.mul_add(fb, tb * inner_b);
+                            // Unlike the pull kernel, opposite directions must be
+                            // processed jointly: direction `a`'s store lands in the
+                            // slot direction `b` reads. Each element still sees the
+                            // by-direction pull arithmetic verbatim.
+                            for &(a, b) in PAIRS.iter() {
+                                let oa = offq(a, sy, sz);
+                                let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
+                                let ca = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
+                                let cb = [C[b][0] as f64, C[b][1] as f64, C[b][2] as f64];
+                                let twa = omega * WEIGHTS[a];
+                                let twb = omega * WEIGHTS[b];
+                                for x in 0..n {
+                                    let fa = *sa.add(x);
+                                    let fb = *sb.add(x);
+                                    let cua = ca[2].mul_add(
+                                        scr.uz[x],
+                                        ca[1].mul_add(scr.uy[x], ca[0] * scr.ux[x]),
+                                    );
+                                    let inner_a =
+                                        3.0f64.mul_add(cua, 4.5f64.mul_add(cua * cua, scr.base[x]));
+                                    let ta = twa * scr.rho[x];
+                                    let cub = cb[2].mul_add(
+                                        scr.uz[x],
+                                        cb[1].mul_add(scr.uy[x], cb[0] * scr.ux[x]),
+                                    );
+                                    let inner_b =
+                                        3.0f64.mul_add(cub, 4.5f64.mul_add(cub * cub, scr.base[x]));
+                                    let tb = twb * scr.rho[x];
+                                    *da.add(x) = om1.mul_add(fa, ta * inner_a);
+                                    *db.add(x) = om1.mul_add(fb, tb * inner_b);
+                                }
+                            }
                         }
                     }
                 }
             }
+            SweepStats::dense(region.num_cells() as u64)
         }
-        SweepStats::dense(region.num_cells() as u64)
     }
 }
 
@@ -502,102 +525,104 @@ mod imp {
         let (shape, lines) = line_ptrs(f, region);
         let (le, lo) = (rel.lambda_e, rel.lambda_o);
         let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-        let n = region.x.len();
-        if n == 0 {
+        if region.x.is_empty() {
             return SweepStats::dense(0);
         }
-        let mut scr = RowScratch::new(n);
+        let mut scr = RowScratch::new();
 
         for z in region.z.clone() {
             for y in region.y.clone() {
-                let base = shape.idx(region.x.start, y, z);
-                moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
-                let (rho, ux, uy, uz, ebase) =
-                    (&scr.rho[..n], &scr.ux[..n], &scr.uy[..n], &scr.uz[..n], &scr.base[..n]);
+                let row = shape.idx(region.x.start, y, z);
+                for (o, n) in row_chunks(region.x.len()) {
+                    let base = row + o;
+                    moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
+                    let (rho, ux, uy, uz, ebase) =
+                        (&scr.rho[..n], &scr.ux[..n], &scr.uy[..n], &scr.uz[..n], &scr.base[..n]);
 
-                // ---- rest direction ----------------------------------
-                {
-                    let p0 = lines[0].add(base);
-                    let w0 = _mm256_set1_pd(WEIGHTS[0]);
-                    let vle = _mm256_set1_pd(le);
-                    let mut x = 0;
-                    while x + LANES <= n {
-                        let f0 = _mm256_loadu_pd(p0.add(x));
-                        let feq = _mm256_mul_pd(
-                            w0,
-                            _mm256_mul_pd(
-                                _mm256_loadu_pd(rho.as_ptr().add(x)),
-                                _mm256_loadu_pd(ebase.as_ptr().add(x)),
-                            ),
-                        );
-                        let out = _mm256_fmadd_pd(vle, _mm256_sub_pd(f0, feq), f0);
-                        _mm256_storeu_pd(p0.add(x), out);
-                        x += LANES;
+                    // ---- rest direction ----------------------------------
+                    {
+                        let p0 = lines[0].add(base);
+                        let w0 = _mm256_set1_pd(WEIGHTS[0]);
+                        let vle = _mm256_set1_pd(le);
+                        let mut x = 0;
+                        while x + LANES <= n {
+                            let f0 = _mm256_loadu_pd(p0.add(x));
+                            let feq = _mm256_mul_pd(
+                                w0,
+                                _mm256_mul_pd(
+                                    _mm256_loadu_pd(rho.as_ptr().add(x)),
+                                    _mm256_loadu_pd(ebase.as_ptr().add(x)),
+                                ),
+                            );
+                            let out = _mm256_fmadd_pd(vle, _mm256_sub_pd(f0, feq), f0);
+                            _mm256_storeu_pd(p0.add(x), out);
+                            x += LANES;
+                        }
+                        while x < n {
+                            let s0 = *p0.add(x);
+                            let feq = WEIGHTS[0] * (rho[x] * ebase[x]);
+                            *p0.add(x) = le.mul_add(s0 - feq, s0);
+                            x += 1;
+                        }
                     }
-                    while x < n {
-                        let s0 = *p0.add(x);
-                        let feq = WEIGHTS[0] * (rho[x] * ebase[x]);
-                        *p0.add(x) = le.mul_add(s0 - feq, s0);
-                        x += 1;
-                    }
-                }
 
-                // ---- pair passes -------------------------------------
-                for &(a, b) in PAIRS.iter() {
-                    let oa = offq(a, sy, sz);
-                    let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
-                    let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-                    let wq = WEIGHTS[a];
+                    // ---- pair passes -------------------------------------
+                    for &(a, b) in PAIRS.iter() {
+                        let oa = offq(a, sy, sz);
+                        let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
+                        let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
+                        let wq = WEIGHTS[a];
 
-                    let vcx = _mm256_set1_pd(c[0]);
-                    let vcy = _mm256_set1_pd(c[1]);
-                    let vcz = _mm256_set1_pd(c[2]);
-                    let vwq = _mm256_set1_pd(wq);
-                    let vle = _mm256_set1_pd(le);
-                    let vlo = _mm256_set1_pd(lo);
-                    let vhalf = _mm256_set1_pd(0.5);
-                    let v45 = _mm256_set1_pd(4.5);
-                    let v3 = _mm256_set1_pd(3.0);
+                        let vcx = _mm256_set1_pd(c[0]);
+                        let vcy = _mm256_set1_pd(c[1]);
+                        let vcz = _mm256_set1_pd(c[2]);
+                        let vwq = _mm256_set1_pd(wq);
+                        let vle = _mm256_set1_pd(le);
+                        let vlo = _mm256_set1_pd(lo);
+                        let vhalf = _mm256_set1_pd(0.5);
+                        let v45 = _mm256_set1_pd(4.5);
+                        let v3 = _mm256_set1_pd(3.0);
 
-                    let mut x = 0;
-                    while x + LANES <= n {
-                        let vux = _mm256_loadu_pd(ux.as_ptr().add(x));
-                        let vuy = _mm256_loadu_pd(uy.as_ptr().add(x));
-                        let vuz = _mm256_loadu_pd(uz.as_ptr().add(x));
-                        let cu = _mm256_fmadd_pd(
-                            vcz,
-                            vuz,
-                            _mm256_fmadd_pd(vcy, vuy, _mm256_mul_pd(vcx, vux)),
-                        );
-                        let t = _mm256_mul_pd(vwq, _mm256_loadu_pd(rho.as_ptr().add(x)));
-                        let cu2 = _mm256_mul_pd(cu, cu);
-                        let inner =
-                            _mm256_fmadd_pd(v45, cu2, _mm256_loadu_pd(ebase.as_ptr().add(x)));
-                        let feq_even = _mm256_mul_pd(t, inner);
-                        let feq_odd = _mm256_mul_pd(_mm256_mul_pd(v3, t), cu);
-                        let fa = _mm256_loadu_pd(sa.add(x));
-                        let fb = _mm256_loadu_pd(sb.add(x));
-                        let fp = _mm256_mul_pd(vhalf, _mm256_add_pd(fa, fb));
-                        let fm = _mm256_mul_pd(vhalf, _mm256_sub_pd(fa, fb));
-                        let d_even = _mm256_mul_pd(vle, _mm256_sub_pd(fp, feq_even));
-                        let d_odd = _mm256_mul_pd(vlo, _mm256_sub_pd(fm, feq_odd));
-                        let oa2 = _mm256_add_pd(fa, _mm256_add_pd(d_even, d_odd));
-                        let ob2 = _mm256_add_pd(fb, _mm256_sub_pd(d_even, d_odd));
-                        _mm256_storeu_pd(da.add(x), oa2);
-                        _mm256_storeu_pd(db.add(x), ob2);
-                        x += LANES;
-                    }
-                    while x < n {
-                        let cu = c[2].mul_add(uz[x], c[1].mul_add(uy[x], c[0] * ux[x]));
-                        let t = wq * rho[x];
-                        let feq_even = t * (4.5f64.mul_add(cu * cu, ebase[x]));
-                        let feq_odd = (3.0 * t) * cu;
-                        let (fa, fb) = (*sa.add(x), *sb.add(x));
-                        let d_even = le * (0.5 * (fa + fb) - feq_even);
-                        let d_odd = lo * (0.5 * (fa - fb) - feq_odd);
-                        *da.add(x) = fa + (d_even + d_odd);
-                        *db.add(x) = fb + (d_even - d_odd);
-                        x += 1;
+                        let mut x = 0;
+                        while x + LANES <= n {
+                            let vux = _mm256_loadu_pd(ux.as_ptr().add(x));
+                            let vuy = _mm256_loadu_pd(uy.as_ptr().add(x));
+                            let vuz = _mm256_loadu_pd(uz.as_ptr().add(x));
+                            let cu = _mm256_fmadd_pd(
+                                vcz,
+                                vuz,
+                                _mm256_fmadd_pd(vcy, vuy, _mm256_mul_pd(vcx, vux)),
+                            );
+                            let t = _mm256_mul_pd(vwq, _mm256_loadu_pd(rho.as_ptr().add(x)));
+                            let cu2 = _mm256_mul_pd(cu, cu);
+                            let inner =
+                                _mm256_fmadd_pd(v45, cu2, _mm256_loadu_pd(ebase.as_ptr().add(x)));
+                            let feq_even = _mm256_mul_pd(t, inner);
+                            let feq_odd = _mm256_mul_pd(_mm256_mul_pd(v3, t), cu);
+                            let fa = _mm256_loadu_pd(sa.add(x));
+                            let fb = _mm256_loadu_pd(sb.add(x));
+                            let fp = _mm256_mul_pd(vhalf, _mm256_add_pd(fa, fb));
+                            let fm = _mm256_mul_pd(vhalf, _mm256_sub_pd(fa, fb));
+                            let d_even = _mm256_mul_pd(vle, _mm256_sub_pd(fp, feq_even));
+                            let d_odd = _mm256_mul_pd(vlo, _mm256_sub_pd(fm, feq_odd));
+                            let oa2 = _mm256_add_pd(fa, _mm256_add_pd(d_even, d_odd));
+                            let ob2 = _mm256_add_pd(fb, _mm256_sub_pd(d_even, d_odd));
+                            _mm256_storeu_pd(da.add(x), oa2);
+                            _mm256_storeu_pd(db.add(x), ob2);
+                            x += LANES;
+                        }
+                        while x < n {
+                            let cu = c[2].mul_add(uz[x], c[1].mul_add(uy[x], c[0] * ux[x]));
+                            let t = wq * rho[x];
+                            let feq_even = t * (4.5f64.mul_add(cu * cu, ebase[x]));
+                            let feq_odd = (3.0 * t) * cu;
+                            let (fa, fb) = (*sa.add(x), *sb.add(x));
+                            let d_even = le * (0.5 * (fa + fb) - feq_even);
+                            let d_odd = lo * (0.5 * (fa - fb) - feq_odd);
+                            *da.add(x) = fa + (d_even + d_odd);
+                            *db.add(x) = fb + (d_even - d_odd);
+                            x += 1;
+                        }
                     }
                 }
             }
@@ -616,115 +641,117 @@ mod imp {
         let omega = -rel.lambda_e;
         let om1 = 1.0 - omega;
         let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-        let n = region.x.len();
-        if n == 0 {
+        if region.x.is_empty() {
             return SweepStats::dense(0);
         }
-        let mut scr = RowScratch::new(n);
+        let mut scr = RowScratch::new();
 
         for z in region.z.clone() {
             for y in region.y.clone() {
-                let base = shape.idx(region.x.start, y, z);
-                moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
-                let (rho, ux, uy, uz, ebase) =
-                    (&scr.rho[..n], &scr.ux[..n], &scr.uy[..n], &scr.uz[..n], &scr.base[..n]);
+                let row = shape.idx(region.x.start, y, z);
+                for (o, n) in row_chunks(region.x.len()) {
+                    let base = row + o;
+                    moment_passes(&lines, parity, base, sy, sz, n, &mut scr);
+                    let (rho, ux, uy, uz, ebase) =
+                        (&scr.rho[..n], &scr.ux[..n], &scr.uy[..n], &scr.uz[..n], &scr.base[..n]);
 
-                // ---- rest direction (cu = 0 folds away) ---------------
-                {
-                    let p0 = lines[0].add(base);
-                    let tw = omega * WEIGHTS[0];
-                    let vtw = _mm256_set1_pd(tw);
-                    let vom1 = _mm256_set1_pd(om1);
-                    let mut x = 0;
-                    while x + LANES <= n {
-                        let inner = _mm256_loadu_pd(ebase.as_ptr().add(x));
-                        let t = _mm256_mul_pd(vtw, _mm256_loadu_pd(rho.as_ptr().add(x)));
-                        let fv = _mm256_loadu_pd(p0.add(x));
-                        let out = _mm256_fmadd_pd(vom1, fv, _mm256_mul_pd(t, inner));
-                        _mm256_storeu_pd(p0.add(x), out);
-                        x += LANES;
+                    // ---- rest direction (cu = 0 folds away) ---------------
+                    {
+                        let p0 = lines[0].add(base);
+                        let tw = omega * WEIGHTS[0];
+                        let vtw = _mm256_set1_pd(tw);
+                        let vom1 = _mm256_set1_pd(om1);
+                        let mut x = 0;
+                        while x + LANES <= n {
+                            let inner = _mm256_loadu_pd(ebase.as_ptr().add(x));
+                            let t = _mm256_mul_pd(vtw, _mm256_loadu_pd(rho.as_ptr().add(x)));
+                            let fv = _mm256_loadu_pd(p0.add(x));
+                            let out = _mm256_fmadd_pd(vom1, fv, _mm256_mul_pd(t, inner));
+                            _mm256_storeu_pd(p0.add(x), out);
+                            x += LANES;
+                        }
+                        while x < n {
+                            let inner = ebase[x];
+                            let t = tw * rho[x];
+                            *p0.add(x) = om1.mul_add(*p0.add(x), t * inner);
+                            x += 1;
+                        }
                     }
-                    while x < n {
-                        let inner = ebase[x];
-                        let t = tw * rho[x];
-                        *p0.add(x) = om1.mul_add(*p0.add(x), t * inner);
-                        x += 1;
-                    }
-                }
 
-                // ---- joint pair passes (see scalar module) ------------
-                for &(a, b) in PAIRS.iter() {
-                    let oa = offq(a, sy, sz);
-                    let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
-                    let ca = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-                    let cb = [C[b][0] as f64, C[b][1] as f64, C[b][2] as f64];
-                    let twa = omega * WEIGHTS[a];
-                    let twb = omega * WEIGHTS[b];
-                    let vcax = _mm256_set1_pd(ca[0]);
-                    let vcay = _mm256_set1_pd(ca[1]);
-                    let vcaz = _mm256_set1_pd(ca[2]);
-                    let vcbx = _mm256_set1_pd(cb[0]);
-                    let vcby = _mm256_set1_pd(cb[1]);
-                    let vcbz = _mm256_set1_pd(cb[2]);
-                    let vtwa = _mm256_set1_pd(twa);
-                    let vtwb = _mm256_set1_pd(twb);
-                    let vom1 = _mm256_set1_pd(om1);
-                    let v3 = _mm256_set1_pd(3.0);
-                    let v45 = _mm256_set1_pd(4.5);
-                    let mut x = 0;
-                    while x + LANES <= n {
-                        let vux = _mm256_loadu_pd(ux.as_ptr().add(x));
-                        let vuy = _mm256_loadu_pd(uy.as_ptr().add(x));
-                        let vuz = _mm256_loadu_pd(uz.as_ptr().add(x));
-                        let vrho = _mm256_loadu_pd(rho.as_ptr().add(x));
-                        let veb = _mm256_loadu_pd(ebase.as_ptr().add(x));
-                        let fa = _mm256_loadu_pd(sa.add(x));
-                        let fb = _mm256_loadu_pd(sb.add(x));
+                    // ---- joint pair passes (see scalar module) ------------
+                    for &(a, b) in PAIRS.iter() {
+                        let oa = offq(a, sy, sz);
+                        let (sa, sb, da, db) = pair_lines(&lines, parity, a, b, base, oa);
+                        let ca = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
+                        let cb = [C[b][0] as f64, C[b][1] as f64, C[b][2] as f64];
+                        let twa = omega * WEIGHTS[a];
+                        let twb = omega * WEIGHTS[b];
+                        let vcax = _mm256_set1_pd(ca[0]);
+                        let vcay = _mm256_set1_pd(ca[1]);
+                        let vcaz = _mm256_set1_pd(ca[2]);
+                        let vcbx = _mm256_set1_pd(cb[0]);
+                        let vcby = _mm256_set1_pd(cb[1]);
+                        let vcbz = _mm256_set1_pd(cb[2]);
+                        let vtwa = _mm256_set1_pd(twa);
+                        let vtwb = _mm256_set1_pd(twb);
+                        let vom1 = _mm256_set1_pd(om1);
+                        let v3 = _mm256_set1_pd(3.0);
+                        let v45 = _mm256_set1_pd(4.5);
+                        let mut x = 0;
+                        while x + LANES <= n {
+                            let vux = _mm256_loadu_pd(ux.as_ptr().add(x));
+                            let vuy = _mm256_loadu_pd(uy.as_ptr().add(x));
+                            let vuz = _mm256_loadu_pd(uz.as_ptr().add(x));
+                            let vrho = _mm256_loadu_pd(rho.as_ptr().add(x));
+                            let veb = _mm256_loadu_pd(ebase.as_ptr().add(x));
+                            let fa = _mm256_loadu_pd(sa.add(x));
+                            let fb = _mm256_loadu_pd(sb.add(x));
 
-                        let cua = _mm256_fmadd_pd(
-                            vcaz,
-                            vuz,
-                            _mm256_fmadd_pd(vcay, vuy, _mm256_mul_pd(vcax, vux)),
-                        );
-                        let inner_a = _mm256_fmadd_pd(
-                            v3,
-                            cua,
-                            _mm256_fmadd_pd(v45, _mm256_mul_pd(cua, cua), veb),
-                        );
-                        let ta = _mm256_mul_pd(vtwa, vrho);
-                        let out_a = _mm256_fmadd_pd(vom1, fa, _mm256_mul_pd(ta, inner_a));
+                            let cua = _mm256_fmadd_pd(
+                                vcaz,
+                                vuz,
+                                _mm256_fmadd_pd(vcay, vuy, _mm256_mul_pd(vcax, vux)),
+                            );
+                            let inner_a = _mm256_fmadd_pd(
+                                v3,
+                                cua,
+                                _mm256_fmadd_pd(v45, _mm256_mul_pd(cua, cua), veb),
+                            );
+                            let ta = _mm256_mul_pd(vtwa, vrho);
+                            let out_a = _mm256_fmadd_pd(vom1, fa, _mm256_mul_pd(ta, inner_a));
 
-                        let cub = _mm256_fmadd_pd(
-                            vcbz,
-                            vuz,
-                            _mm256_fmadd_pd(vcby, vuy, _mm256_mul_pd(vcbx, vux)),
-                        );
-                        let inner_b = _mm256_fmadd_pd(
-                            v3,
-                            cub,
-                            _mm256_fmadd_pd(v45, _mm256_mul_pd(cub, cub), veb),
-                        );
-                        let tb = _mm256_mul_pd(vtwb, vrho);
-                        let out_b = _mm256_fmadd_pd(vom1, fb, _mm256_mul_pd(tb, inner_b));
+                            let cub = _mm256_fmadd_pd(
+                                vcbz,
+                                vuz,
+                                _mm256_fmadd_pd(vcby, vuy, _mm256_mul_pd(vcbx, vux)),
+                            );
+                            let inner_b = _mm256_fmadd_pd(
+                                v3,
+                                cub,
+                                _mm256_fmadd_pd(v45, _mm256_mul_pd(cub, cub), veb),
+                            );
+                            let tb = _mm256_mul_pd(vtwb, vrho);
+                            let out_b = _mm256_fmadd_pd(vom1, fb, _mm256_mul_pd(tb, inner_b));
 
-                        _mm256_storeu_pd(da.add(x), out_a);
-                        _mm256_storeu_pd(db.add(x), out_b);
-                        x += LANES;
-                    }
-                    while x < n {
-                        let fa = *sa.add(x);
-                        let fb = *sb.add(x);
-                        let cua = ca[2].mul_add(uz[x], ca[1].mul_add(uy[x], ca[0] * ux[x]));
-                        let inner_a = 3.0f64.mul_add(cua, 4.5f64.mul_add(cua * cua, ebase[x]));
-                        let ta = twa * rho[x];
-                        let out_a = om1.mul_add(fa, ta * inner_a);
-                        let cub = cb[2].mul_add(uz[x], cb[1].mul_add(uy[x], cb[0] * ux[x]));
-                        let inner_b = 3.0f64.mul_add(cub, 4.5f64.mul_add(cub * cub, ebase[x]));
-                        let tb = twb * rho[x];
-                        let out_b = om1.mul_add(fb, tb * inner_b);
-                        *da.add(x) = out_a;
-                        *db.add(x) = out_b;
-                        x += 1;
+                            _mm256_storeu_pd(da.add(x), out_a);
+                            _mm256_storeu_pd(db.add(x), out_b);
+                            x += LANES;
+                        }
+                        while x < n {
+                            let fa = *sa.add(x);
+                            let fb = *sb.add(x);
+                            let cua = ca[2].mul_add(uz[x], ca[1].mul_add(uy[x], ca[0] * ux[x]));
+                            let inner_a = 3.0f64.mul_add(cua, 4.5f64.mul_add(cua * cua, ebase[x]));
+                            let ta = twa * rho[x];
+                            let out_a = om1.mul_add(fa, ta * inner_a);
+                            let cub = cb[2].mul_add(uz[x], cb[1].mul_add(uy[x], cb[0] * ux[x]));
+                            let inner_b = 3.0f64.mul_add(cub, 4.5f64.mul_add(cub * cub, ebase[x]));
+                            let tb = twb * rho[x];
+                            let out_b = om1.mul_add(fb, tb * inner_b);
+                            *da.add(x) = out_a;
+                            *db.add(x) = out_b;
+                            x += 1;
+                        }
                     }
                 }
             }

@@ -19,6 +19,18 @@
 //! Each tier implements both collision operators, SRT and TRT; with
 //! `λ_e = λ_o` the TRT kernels reduce exactly to SRT.
 //!
+//! # One source, compiled per target
+//!
+//! The portable sweeps ([`soa`], the [`sparse`] row-interval sweep and
+//! the portable paths of [`inplace`]) are written once and compiled twice
+//! by the crate-internal `multiversion!` macro: a baseline instance and
+//! an AVX2+FMA instance, chosen per call from the host's features. Both
+//! instances are bitwise identical (correctly rounded `mul_add`, no
+//! contraction, element-wise loops), and bitwise identical to the [`avx`]
+//! intrinsics, which perform the same fused operation sequence. A host
+//! without FMA runs the baseline instance, in which each `mul_add` is a
+//! software `fma` call: slow, but bitwise equal across hosts.
+//!
 //! # Update schemes
 //!
 //! The two-field (A/B) *stream-pull* pattern is the default: fields store
@@ -27,7 +39,10 @@
 //! writes post-collision values at `t + Δt` to the destination field.
 //! Boundary conditions are realized by a preparatory [`boundary`] sweep
 //! that writes the appropriate values into boundary cells of the source
-//! field so the compute kernels can pull unconditionally.
+//! field so the compute kernels can pull unconditionally. The sweep walks
+//! a per-block [`BoundaryLinks`] list — every `(wall cell, direction)`
+//! pair whose target is an interior fluid cell — built once from the flag
+//! field, instead of scanning every cell and flag each step.
 //!
 //! [`inplace`] adds the single-buffer *AA-pattern* alternative
 //! ([`dispatch::Tier::InPlace`]): the storage convention alternates
@@ -47,13 +62,15 @@ pub mod dispatch;
 pub mod generic;
 pub mod inplace;
 pub mod mrt;
+mod multiversion;
 pub mod soa;
 pub mod sparse;
 pub mod stats;
 
 pub use backend::{Avx2Backend, Backend, BackendKind, PortableBackend, WorkgroupBackend};
 pub use boundary::{
-    apply_boundaries, apply_boundaries_ghost, apply_boundaries_interior, BoundaryParams,
+    apply_boundaries, apply_boundaries_ghost, apply_boundaries_interior, BoundaryLinks,
+    BoundaryParams,
 };
 pub use dispatch::{
     sweep_aos, sweep_aos_region, sweep_inplace, sweep_inplace_region, sweep_soa, sweep_soa_region,

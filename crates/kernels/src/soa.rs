@@ -14,42 +14,82 @@
 //! 3. a *pair pass* per antiparallel direction pair applying the TRT (or
 //!    SRT) collision and storing both destinations.
 //!
-//! All inner loops are branch-free, stride-1 loops over `f64` slices that
-//! LLVM auto-vectorizes; [`crate::avx`] provides a hand-vectorized AVX2+FMA
-//! variant of the same structure. Because the pull offset of a direction is
-//! constant along a row, "streaming" is expressed as reading each source
-//! line at a shifted base index — no gather instructions are needed.
+//! All inner loops are stride-1 loops over `f64` slices that LLVM
+//! auto-vectorizes. The region sweeps are compiled twice by
+//! `crate::multiversion` (baseline and AVX2+FMA, bitwise identical);
+//! [`crate::avx`] provides a hand-vectorized AVX2+FMA variant of the same
+//! structure. Rows are processed in segments of at most [`ROW_CHUNK`]
+//! cells with stack scratch, so a sweep allocates nothing. Because the
+//! pull offset of a direction is constant along a row, "streaming" is
+//! expressed as reading each source line at a shifted base index — no
+//! gather instructions are needed.
 
+use crate::multiversion::multiversion;
 use crate::stats::SweepStats;
 use trillium_field::{PdfField, Region, Shape, SoaPdfField};
 use trillium_lattice::d3q19::{dir, C, Q, W as WEIGHTS};
 use trillium_lattice::{Relaxation, D3Q19};
 
-/// Reusable per-row scratch buffers for the split-loop kernels.
+/// Longest row segment the split-loop kernels process at once. Longer
+/// rows are swept in consecutive segments; every pass is element-wise per
+/// cell, so the segmentation changes no result bit (the same argument as
+/// the region-partition guarantee).
+pub const ROW_CHUNK: usize = 128;
+
+/// Per-row scratch buffers for the split-loop kernels: fixed capacity, so
+/// a sweep keeps them on the stack and allocates nothing.
 pub struct RowScratch {
-    /// Density per cell of the current row.
-    pub rho: Vec<f64>,
+    /// Density per cell of the current row segment.
+    pub rho: [f64; ROW_CHUNK],
     /// Velocity x (momenta during accumulation).
-    pub ux: Vec<f64>,
+    pub ux: [f64; ROW_CHUNK],
     /// Velocity y.
-    pub uy: Vec<f64>,
+    pub uy: [f64; ROW_CHUNK],
     /// Velocity z.
-    pub uz: Vec<f64>,
+    pub uz: [f64; ROW_CHUNK],
     /// Shared equilibrium base term `1 − 1.5 u²`.
-    pub base: Vec<f64>,
+    pub base: [f64; ROW_CHUNK],
 }
 
 impl RowScratch {
-    /// Allocates scratch for rows of length `nx`.
-    pub fn new(nx: usize) -> Self {
+    /// Zeroed scratch for row segments of up to [`ROW_CHUNK`] cells.
+    #[inline(always)]
+    pub fn new() -> Self {
         RowScratch {
-            rho: vec![0.0; nx],
-            ux: vec![0.0; nx],
-            uy: vec![0.0; nx],
-            uz: vec![0.0; nx],
-            base: vec![0.0; nx],
+            rho: [0.0; ROW_CHUNK],
+            ux: [0.0; ROW_CHUNK],
+            uy: [0.0; ROW_CHUNK],
+            uz: [0.0; ROW_CHUNK],
+            base: [0.0; ROW_CHUNK],
         }
     }
+}
+
+impl Default for RowScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// `(offset, length)` of the consecutive segments of at most
+/// [`ROW_CHUNK`] cells that cover a row of `len` cells.
+#[inline(always)]
+pub(crate) fn row_chunks(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len).step_by(ROW_CHUNK).map(move |o| (o, (len - o).min(ROW_CHUNK)))
+}
+
+/// The `Q` direction grids of `f`, read-only, without allocating.
+#[inline(always)]
+pub(crate) fn src_dirs(f: &SoaPdfField<D3Q19>) -> [&[f64]; Q] {
+    std::array::from_fn(|q| f.dir(q))
+}
+
+/// The `Q` direction grids of `f`, mutable, without allocating.
+#[inline(always)]
+pub(crate) fn dst_dirs(f: &mut SoaPdfField<D3Q19>) -> [&mut [f64]; Q] {
+    let n = f.shape().alloc_cells();
+    let mut grids = f.data_mut().chunks_exact_mut(n);
+    std::array::from_fn(|_| grids.next().expect("one grid per direction"))
 }
 
 /// Linear base index (into a direction grid) of the cell `(x, y, z)` —
@@ -160,6 +200,50 @@ fn trt_pair_row(
     }
 }
 
+/// One TRT row segment: moment passes, the rest direction and the pair
+/// passes over the `n ≤ ROW_CHUNK` cells starting at linear index `base`.
+/// Shared by the dense region sweep and the sparse row-interval sweep.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn trt_row(
+    sdirs: &[&[f64]; Q],
+    ddirs: &mut [&mut [f64]; Q],
+    base: usize,
+    sy: isize,
+    sz: isize,
+    n: usize,
+    le: f64,
+    lo: f64,
+    scr: &mut RowScratch,
+) {
+    moment_passes(sdirs, base, sy, sz, n, scr);
+
+    // Rest direction: purely even relaxation.
+    {
+        let s0 = src_line(sdirs, dir::C, base, sy, sz, n);
+        let d0 = &mut ddirs[dir::C][base..base + n];
+        let w0 = WEIGHTS[0];
+        for x in 0..n {
+            let feq = w0 * (scr.rho[x] * scr.base[x]);
+            d0[x] = le.mul_add(s0[x] - feq, s0[x]);
+        }
+    }
+
+    // Antiparallel pairs.
+    for &(a, b) in trillium_lattice::d3q19::PAIRS.iter() {
+        let sa = src_line(sdirs, a, base, sy, sz, n);
+        let sb = src_line(sdirs, b, base, sy, sz, n);
+        // Split the destination array to borrow two lines at once.
+        let (da, db) = {
+            debug_assert!(a < b);
+            let (lo_half, hi_half) = ddirs.split_at_mut(b);
+            (&mut lo_half[a][base..base + n], &mut hi_half[0][base..base + n])
+        };
+        let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
+        trt_pair_row(sa, sb, da, db, c, WEIGHTS[a], scr, le, lo, n);
+    }
+}
+
 /// One fused stream–collide sweep with the TRT operator on SoA fields,
 /// split-loop / by-direction (the paper's "SIMD" tier, portable variant).
 pub fn stream_collide_trt(
@@ -170,63 +254,41 @@ pub fn stream_collide_trt(
     stream_collide_trt_region(src, dst, rel, &src.shape().interior())
 }
 
-/// [`stream_collide_trt`] restricted to `region` (a subset of the
-/// interior). All passes are element-wise per cell, so sweeping a
-/// partition of the interior region by region produces bitwise the same
-/// PDFs as one full sweep — the property the overlapped driver relies on.
-pub fn stream_collide_trt_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    assert_eq!(src.shape(), dst.shape());
-    let shape = src.shape();
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let n = region.x.len();
-    if n == 0 {
-        return SweepStats::dense(0);
-    }
-    let mut scr = RowScratch::new(n);
+multiversion! {
+    /// [`stream_collide_trt`] restricted to `region` (a subset of the
+    /// interior). All passes are element-wise per cell, so sweeping a
+    /// partition of the interior region by region produces bitwise the same
+    /// PDFs as one full sweep — the property the overlapped driver relies on.
+    /// Compiled once per target (`crate::multiversion`).
+    pub fn stream_collide_trt_region, stream_collide_trt_region_on(
+        src: &SoaPdfField<D3Q19>,
+        dst: &mut SoaPdfField<D3Q19>,
+        rel: Relaxation,
+        region: &Region,
+    ) -> SweepStats {
+        assert_eq!(src.shape(), dst.shape());
+        let shape = src.shape();
+        assert!(shape.ghost >= 1);
+        debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
+        let (le, lo) = (rel.lambda_e, rel.lambda_o);
+        let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
+        if region.x.is_empty() {
+            return SweepStats::dense(0);
+        }
+        let mut scr = RowScratch::new();
+        let sdirs = src_dirs(src);
+        let mut ddirs = dst_dirs(dst);
 
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
-
-    for z in region.z.clone() {
-        for y in region.y.clone() {
-            let base = row_base(&shape, region.x.start, y, z);
-            moment_passes(&sdirs, base, sy, sz, n, &mut scr);
-
-            // Rest direction: purely even relaxation.
-            {
-                let s0 = src_line(&sdirs, dir::C, base, sy, sz, n);
-                let d0 = &mut ddirs[dir::C][base..base + n];
-                let w0 = WEIGHTS[0];
-                for x in 0..n {
-                    let feq = w0 * (scr.rho[x] * scr.base[x]);
-                    d0[x] = le.mul_add(s0[x] - feq, s0[x]);
+        for z in region.z.clone() {
+            for y in region.y.clone() {
+                let row = row_base(&shape, region.x.start, y, z);
+                for (o, n) in row_chunks(region.x.len()) {
+                    trt_row(&sdirs, &mut ddirs, row + o, sy, sz, n, le, lo, &mut scr);
                 }
             }
-
-            // Antiparallel pairs.
-            for &(a, b) in trillium_lattice::d3q19::PAIRS.iter() {
-                let sa = src_line(&sdirs, a, base, sy, sz, n);
-                let sb = src_line(&sdirs, b, base, sy, sz, n);
-                // Split the destination vector to borrow two lines at once.
-                let (da, db) = {
-                    debug_assert!(a < b);
-                    let (lo_half, hi_half) = ddirs.split_at_mut(b);
-                    (&mut lo_half[a][base..base + n], &mut hi_half[0][base..base + n])
-                };
-                let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-                trt_pair_row(sa, sb, da, db, c, WEIGHTS[a], &scr, le, lo, n);
-            }
         }
+        SweepStats::dense(region.num_cells() as u64)
     }
-    SweepStats::dense(region.num_cells() as u64)
 }
 
 /// One fused stream–collide sweep with the SRT operator on SoA fields,
@@ -239,50 +301,53 @@ pub fn stream_collide_srt(
     stream_collide_srt_region(src, dst, rel, &src.shape().interior())
 }
 
-/// [`stream_collide_srt`] restricted to `region`; see
-/// [`stream_collide_trt_region`] for the partition guarantee.
-pub fn stream_collide_srt_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    rel: Relaxation,
-    region: &Region,
-) -> SweepStats {
-    assert!(rel.is_srt(), "SRT kernel requires equal relaxation rates");
-    assert_eq!(src.shape(), dst.shape());
-    let shape = src.shape();
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let omega = -rel.lambda_e;
-    let om1 = 1.0 - omega;
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let n = region.x.len();
-    if n == 0 {
-        return SweepStats::dense(0);
-    }
-    let mut scr = RowScratch::new(n);
+multiversion! {
+    /// [`stream_collide_srt`] restricted to `region`; see
+    /// [`stream_collide_trt_region`] for the partition guarantee.
+    pub fn stream_collide_srt_region, stream_collide_srt_region_on(
+        src: &SoaPdfField<D3Q19>,
+        dst: &mut SoaPdfField<D3Q19>,
+        rel: Relaxation,
+        region: &Region,
+    ) -> SweepStats {
+        assert!(rel.is_srt(), "SRT kernel requires equal relaxation rates");
+        assert_eq!(src.shape(), dst.shape());
+        let shape = src.shape();
+        assert!(shape.ghost >= 1);
+        debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
+        let omega = -rel.lambda_e;
+        let om1 = 1.0 - omega;
+        let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
+        if region.x.is_empty() {
+            return SweepStats::dense(0);
+        }
+        let mut scr = RowScratch::new();
+        let sdirs = src_dirs(src);
+        let ddirs = dst_dirs(dst);
 
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
-
-    for z in region.z.clone() {
-        for y in region.y.clone() {
-            let base = row_base(&shape, region.x.start, y, z);
-            moment_passes(&sdirs, base, sy, sz, n, &mut scr);
-            for q in 0..Q {
-                let s = src_line(&sdirs, q, base, sy, sz, n);
-                let d = &mut ddirs[q][base..base + n];
-                let (cx, cy, cz) = (C[q][0] as f64, C[q][1] as f64, C[q][2] as f64);
-                let tw = omega * WEIGHTS[q];
-                for x in 0..n {
-                    let cu = cz.mul_add(scr.uz[x], cy.mul_add(scr.uy[x], cx * scr.ux[x]));
-                    let inner = 3.0f64.mul_add(cu, 4.5f64.mul_add(cu * cu, scr.base[x]));
-                    let t = tw * scr.rho[x];
-                    d[x] = om1.mul_add(s[x], t * inner);
+        for z in region.z.clone() {
+            for y in region.y.clone() {
+                let row = row_base(&shape, region.x.start, y, z);
+                for (o, n) in row_chunks(region.x.len()) {
+                    let base = row + o;
+                    moment_passes(&sdirs, base, sy, sz, n, &mut scr);
+                    for q in 0..Q {
+                        let s = src_line(&sdirs, q, base, sy, sz, n);
+                        let d = &mut ddirs[q][base..base + n];
+                        let (cx, cy, cz) = (C[q][0] as f64, C[q][1] as f64, C[q][2] as f64);
+                        let tw = omega * WEIGHTS[q];
+                        for x in 0..n {
+                            let cu = cz.mul_add(scr.uz[x], cy.mul_add(scr.uy[x], cx * scr.ux[x]));
+                            let inner = 3.0f64.mul_add(cu, 4.5f64.mul_add(cu * cu, scr.base[x]));
+                            let t = tw * scr.rho[x];
+                            d[x] = om1.mul_add(s[x], t * inner);
+                        }
+                    }
                 }
             }
         }
+        SweepStats::dense(region.num_cells() as u64)
     }
-    SweepStats::dense(region.num_cells() as u64)
 }
 
 #[cfg(test)]

@@ -23,10 +23,11 @@
 //! cells (LUPS) from processed fluid cells (FLUPS).
 
 use crate::d3q19::collide_trt_cell;
-use crate::soa::RowScratch;
+use crate::multiversion::multiversion;
+use crate::soa::{self, RowScratch};
 use crate::stats::SweepStats;
 use trillium_field::{FlagField, FlagOps, FluidCellList, PdfField, RowIntervals, SoaPdfField};
-use trillium_lattice::d3q19::{dir, C, PAIRS, Q, W as WEIGHTS};
+use trillium_lattice::d3q19::{C, Q};
 use trillium_lattice::{Relaxation, D3Q19};
 
 /// Per-direction pull offsets in cell units for a SoA field.
@@ -42,8 +43,8 @@ fn offsets(sy: isize, sz: isize) -> [isize; Q] {
 /// Scalar stream–collide of a single cell on SoA storage.
 #[inline(always)]
 fn update_cell(
-    sdirs: &[&[f64]],
-    ddirs: &mut [&mut [f64]],
+    sdirs: &[&[f64]; Q],
+    ddirs: &mut [&mut [f64]; Q],
     cell: usize,
     off: &[isize; Q],
     le: f64,
@@ -75,8 +76,8 @@ pub fn stream_collide_trt_conditional(
     let shape = src.shape();
     let off = offsets(shape.stride_y() as isize, shape.stride_z() as isize);
     let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
+    let sdirs = soa::src_dirs(src);
+    let mut ddirs = soa::dst_dirs(dst);
     let mut fluid = 0u64;
     for (x, y, z) in shape.interior().iter() {
         if flags.flags(x, y, z).is_fluid() {
@@ -98,8 +99,8 @@ pub fn stream_collide_trt_cell_list(
     let shape = src.shape();
     let off = offsets(shape.stride_y() as isize, shape.stride_z() as isize);
     let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
+    let sdirs = soa::src_dirs(src);
+    let mut ddirs = soa::dst_dirs(dst);
     for &(x, y, z) in &list.cells {
         update_cell(&sdirs, &mut ddirs, shape.idx(x, y, z), &off, le, lo);
     }
@@ -120,119 +121,53 @@ pub fn stream_collide_trt_row_intervals(
     stats
 }
 
-/// [`stream_collide_trt_row_intervals`] restricted to the spans' overlap
-/// with `region` (a subset of the interior). Each span is clipped against
-/// the region's x range and skipped when its row lies outside the region's
-/// y/z ranges; the per-cell arithmetic is element-wise, so sweeping a
-/// partition of the interior region by region is bitwise identical to one
-/// full interval sweep.
-pub fn stream_collide_trt_row_intervals_region(
-    src: &SoaPdfField<D3Q19>,
-    dst: &mut SoaPdfField<D3Q19>,
-    intervals: &RowIntervals,
-    rel: Relaxation,
-    region: &trillium_field::Region,
-) -> SweepStats {
-    assert_eq!(src.shape(), dst.shape());
-    let shape = src.shape();
-    assert!(shape.ghost >= 1);
-    debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
-    let (le, lo) = (rel.lambda_e, rel.lambda_o);
-    let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
-    let mut scr = RowScratch::new(shape.nx);
-    let sdirs: Vec<&[f64]> = (0..Q).map(|q| src.dir(q)).collect();
-    let mut ddirs = dst.dirs_mut();
-    let mut covered = 0usize;
+multiversion! {
+    /// [`stream_collide_trt_row_intervals`] restricted to the spans' overlap
+    /// with `region` (a subset of the interior). Each span is clipped against
+    /// the region's x range and skipped when its row lies outside the region's
+    /// y/z ranges; the per-cell arithmetic is element-wise, so sweeping a
+    /// partition of the interior region by region is bitwise identical to one
+    /// full interval sweep. Each span runs the dense kernel's row routine
+    /// ([`crate::soa`]), compiled once per target (`crate::multiversion`).
+    pub fn stream_collide_trt_row_intervals_region, stream_collide_trt_row_intervals_region_on(
+        src: &SoaPdfField<D3Q19>,
+        dst: &mut SoaPdfField<D3Q19>,
+        intervals: &RowIntervals,
+        rel: Relaxation,
+        region: &trillium_field::Region,
+    ) -> SweepStats {
+        assert_eq!(src.shape(), dst.shape());
+        let shape = src.shape();
+        assert!(shape.ghost >= 1);
+        debug_assert_eq!(region.intersect(&shape.interior()), region.clone());
+        let (le, lo) = (rel.lambda_e, rel.lambda_o);
+        let (sy, sz) = (shape.stride_y() as isize, shape.stride_z() as isize);
+        let mut scr = RowScratch::new();
+        let sdirs = soa::src_dirs(src);
+        let mut ddirs = soa::dst_dirs(dst);
+        let mut covered = 0usize;
 
-    for span in &intervals.spans {
-        if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
-            continue;
-        }
-        let x_begin = span.x_begin.max(region.x.start);
-        let x_end = span.x_end.min(region.x.end);
-        if x_end <= x_begin {
-            continue;
-        }
-        let n = (x_end - x_begin) as usize;
-        covered += n;
-        let base = shape.idx(x_begin, span.y, span.z);
-
-        // Moment pass over the span.
-        {
-            let (rho, ux, uy, uz) =
-                (&mut scr.rho[..n], &mut scr.ux[..n], &mut scr.uy[..n], &mut scr.uz[..n]);
-            rho.fill(0.0);
-            ux.fill(0.0);
-            uy.fill(0.0);
-            uz.fill(0.0);
-            for q in 0..Q {
-                let offq = C[q][0] as isize + C[q][1] as isize * sy + C[q][2] as isize * sz;
-                let s = &sdirs[q][(base as isize - offq) as usize..][..n];
-                let (cx, cy, cz) = (C[q][0] as f64, C[q][1] as f64, C[q][2] as f64);
-                for x in 0..n {
-                    let v = s[x];
-                    rho[x] += v;
-                    if cx != 0.0 {
-                        ux[x] = cx.mul_add(v, ux[x]);
-                    }
-                    if cy != 0.0 {
-                        uy[x] = cy.mul_add(v, uy[x]);
-                    }
-                    if cz != 0.0 {
-                        uz[x] = cz.mul_add(v, uz[x]);
-                    }
-                }
+        for span in &intervals.spans {
+            if !region.y.contains(&span.y) || !region.z.contains(&span.z) {
+                continue;
             }
-            let bb = &mut scr.base[..n];
-            for x in 0..n {
-                let inv = 1.0 / rho[x];
-                let (vx, vy, vz) = (ux[x] * inv, uy[x] * inv, uz[x] * inv);
-                ux[x] = vx;
-                uy[x] = vy;
-                uz[x] = vz;
-                let u2 = vz.mul_add(vz, vy.mul_add(vy, vx * vx));
-                bb[x] = (-1.5f64).mul_add(u2, 1.0);
+            let x_begin = span.x_begin.max(region.x.start);
+            let x_end = span.x_end.min(region.x.end);
+            if x_end <= x_begin {
+                continue;
+            }
+            let len = (x_end - x_begin) as usize;
+            covered += len;
+            let row = shape.idx(x_begin, span.y, span.z);
+            for (o, n) in soa::row_chunks(len) {
+                soa::trt_row(&sdirs, &mut ddirs, row + o, sy, sz, n, le, lo, &mut scr);
             }
         }
-
-        // Rest direction.
-        {
-            let s0 = &sdirs[dir::C][base..base + n];
-            let d0 = &mut ddirs[dir::C][base..base + n];
-            for x in 0..n {
-                let feq = WEIGHTS[0] * (scr.rho[x] * scr.base[x]);
-                d0[x] = le.mul_add(s0[x] - feq, s0[x]);
-            }
-        }
-
-        // Antiparallel pairs.
-        for &(a, b) in PAIRS.iter() {
-            let offa = C[a][0] as isize + C[a][1] as isize * sy + C[a][2] as isize * sz;
-            let sa = &sdirs[a][(base as isize - offa) as usize..][..n];
-            let sb = &sdirs[b][(base as isize + offa) as usize..][..n];
-            let (da, db) = {
-                let (lo_half, hi_half) = ddirs.split_at_mut(b);
-                (&mut lo_half[a][base..base + n], &mut hi_half[0][base..base + n])
-            };
-            let c = [C[a][0] as f64, C[a][1] as f64, C[a][2] as f64];
-            let wq = WEIGHTS[a];
-            for x in 0..n {
-                let cu = c[2].mul_add(scr.uz[x], c[1].mul_add(scr.uy[x], c[0] * scr.ux[x]));
-                let t = wq * scr.rho[x];
-                let feq_even = t * (4.5f64.mul_add(cu * cu, scr.base[x]));
-                let feq_odd = (3.0 * t) * cu;
-                let (fa, fb) = (sa[x], sb[x]);
-                let d_even = le * (0.5 * (fa + fb) - feq_even);
-                let d_odd = lo * (0.5 * (fa - fb) - feq_odd);
-                da[x] = fa + (d_even + d_odd);
-                db[x] = fb + (d_even - d_odd);
-            }
-        }
+        // Fluid-ness is not tracked per sub-span, so the region variant
+        // reports traversed (covered) cells for both counters; the full-sweep
+        // wrapper replaces them with the exact interval totals.
+        SweepStats { cells: covered as u64, fluid_cells: covered as u64, seconds: 0.0 }
     }
-    // Fluid-ness is not tracked per sub-span, so the region variant
-    // reports traversed (covered) cells for both counters; the full-sweep
-    // wrapper replaces them with the exact interval totals.
-    SweepStats { cells: covered as u64, fluid_cells: covered as u64, seconds: 0.0 }
 }
 
 #[cfg(test)]
