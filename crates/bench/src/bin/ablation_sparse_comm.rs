@@ -1,15 +1,18 @@
-//! Ablation: fluid-aware (sparse) vs fluid-blind (dense) ghost messages.
+//! Ablation: fluid-aware vs fluid-blind (dense) ghost messages.
 //!
 //! The paper's communication "is unaware of fluid lattice cells and
 //! therefore the amount of data communicated between neighboring blocks
 //! is the same as for densely populated blocks" (§4.3) — an explicit
-//! inefficiency on sparse vascular domains. This harness quantifies what
-//! the fluid-aware packing (`pack_face_sparse`, implemented here as the
-//! extension) would save, as a function of block fluid fraction.
+//! inefficiency on sparse vascular domains. This harness prices, as a
+//! function of block fluid fraction, the face messages of three packings:
+//! the paper's dense one (`pack_face`), the bitmap-headed reference
+//! (`pack_face_sparse`, which rescans the flags per call), and the slab
+//! lists the driver's exchange sends (`GhostLists`, built once per block:
+//! the fluid values alone, no header).
 
 use trillium_bench::{emit_json, section, HarnessArgs};
 use trillium_blockforest::SetupForest;
-use trillium_comm::{pack_face, pack_face_sparse};
+use trillium_comm::{pack_face, pack_face_sparse, pdfs_crossing, GhostLists};
 use trillium_field::{Shape, SoaPdfField};
 use trillium_geometry::voxelize::{voxelize_block, VoxelizeConfig};
 use trillium_lattice::D3Q19;
@@ -23,8 +26,8 @@ fn main() {
 
     section("Sparse vs dense ghost-message volume on vascular blocks");
     println!(
-        "{:<8} {:>8} {:>12} {:>14} {:>14} {:>10}",
-        "dx", "blocks", "fluid frac", "dense B/blk", "sparse B/blk", "saving %"
+        "{:<8} {:>8} {:>12} {:>14} {:>14} {:>14} {:>10}",
+        "dx", "blocks", "fluid frac", "dense B/blk", "sparse B/blk", "list B/blk", "saving %"
     );
     let mut rows = Vec::new();
     for dx in dx_list {
@@ -33,12 +36,14 @@ fn main() {
         let field = SoaPdfField::<D3Q19>::new(shape);
         let mut dense_total = 0usize;
         let mut sparse_total = 0usize;
+        let mut list_total = 0usize;
         let mut fluid = 0.0;
         let sample: Vec<_> =
             forest.blocks.iter().step_by((forest.num_blocks() / 24).max(1)).collect();
         for b in &sample {
             let flags = voxelize_block(&tree, b.aabb.min, dx, shape, &VoxelizeConfig::default());
             fluid += b.workload / (edge * edge * edge) as f64;
+            let lists = GhostLists::build(&flags);
             for d in [[1i8, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]] {
                 let mut buf = Vec::new();
                 pack_face::<D3Q19, _>(&field, d, &mut buf);
@@ -46,16 +51,18 @@ fn main() {
                 let mut sbuf = Vec::new();
                 pack_face_sparse::<D3Q19, _>(&field, &flags, d, &mut sbuf);
                 sparse_total += sbuf.len();
+                list_total += lists.send(d).len() * pdfs_crossing::<D3Q19>(d).len() * 8;
             }
         }
         let n = sample.len();
         println!(
-            "{:<8} {:>8} {:>12.3} {:>14.0} {:>14.0} {:>10.1}",
+            "{:<8} {:>8} {:>12.3} {:>14.0} {:>14.0} {:>14.0} {:>10.1}",
             dx,
             forest.num_blocks(),
             fluid / n as f64,
             dense_total as f64 / n as f64,
             sparse_total as f64 / n as f64,
+            list_total as f64 / n as f64,
             100.0 * (1.0 - sparse_total as f64 / dense_total as f64)
         );
         rows.push(serde_json::json!({
@@ -64,6 +71,7 @@ fn main() {
             "fluid_fraction": fluid / n as f64,
             "dense_bytes_per_block": dense_total as f64 / n as f64,
             "sparse_bytes_per_block": sparse_total as f64 / n as f64,
+            "list_bytes_per_block": list_total as f64 / n as f64,
             "saving_fraction": 1.0 - sparse_total as f64 / dense_total as f64,
         }));
     }

@@ -6,7 +6,7 @@
 //! block is only materialized later, block by block, on the owning process.
 
 use crate::id::BlockId;
-use trillium_geometry::{classify_block, BlockCoverage, SignedDistance};
+use trillium_geometry::{classify_block_counted, BlockCoverage, SignedDistance};
 use trillium_geometry::{Aabb, Vec3};
 
 /// One leaf block of the setup forest.
@@ -248,25 +248,20 @@ impl SetupForest {
                 Some(s) => [s, s, s],
                 None => cells_per_block,
             };
-            match classify_block(sdf, &bb, classify_cells) {
-                BlockCoverage::Outside => {}
-                cov => {
+            // The classification counts the inside cell centers of a
+            // near-surface block; that count is its workload.
+            match classify_block_counted(sdf, &bb, classify_cells) {
+                (BlockCoverage::Outside, _) => {}
+                (cov, inside) => {
                     let dense: f64 = cells_per_block.iter().map(|&c| c as f64).product();
                     let fully = cov == BlockCoverage::FullyInside;
                     let workload = if fully {
                         dense
                     } else {
                         match samples {
-                            Some(s) => {
-                                (trillium_geometry::voxelize::block_fluid_fraction(sdf, &bb, s)
-                                    * dense)
-                                    .round()
-                            }
-                            None => trillium_geometry::voxelize::block_fluid_cells(
-                                sdf,
-                                &bb,
-                                cells_per_block,
-                            ) as f64,
+                            // The subsampled fluid fraction, scaled up.
+                            Some(s) => (inside as f64 / (s * s * s) as f64 * dense).round(),
+                            None => inside as f64,
                         }
                     };
                     if workload > 0.0 {

@@ -7,9 +7,25 @@
 //! axes (5 per cell for D3Q19), for an edge link exactly one, and none for
 //! corner links — D3Q19 has no corner velocities, so corner messages are
 //! never sent.
+//!
+//! The driver goes one step further than the paper, whose exchange "is
+//! unaware of fluid lattice cells" (§4.3): each block holds
+//! [`GhostLists`], the fluid cells of its 26 boundary and ghost slabs,
+//! built once from its flags. Only those cells are sent or copied, so a
+//! sparse block moves its fluid crossing values and nothing else, while a
+//! fully fluid slab moves exactly what the dense exchange moves. Non-fluid
+//! ghost cells keep stale values: no fluid cell reads them, because every
+//! ghost cell a fluid cell pulls from is either fluid (and listed) or a
+//! boundary cell whose link the boundary sweep rewrites after the
+//! exchange.
+//!
+//! [`pack_face_with`] / [`unpack_face_with`] are the dense, layout-agnostic
+//! reference: they move every slab cell through [`PdfField::get`] /
+//! [`PdfField::set`] and byte buffers. [`pack_face_sparse`] is the
+//! bitmap-headed fluid-aware ablation that prices per-step flag scans.
 
 use bytes::{Buf, BufMut};
-use trillium_field::PdfField;
+use trillium_field::{FlagField, FlagOps, PdfField, Shape, SoaPdfField};
 use trillium_lattice::LatticeModel;
 
 /// The directions whose PDFs must be transferred across a block link in
@@ -22,6 +38,13 @@ pub fn pdfs_crossing<M: LatticeModel>(d: [i8; 3]) -> Vec<usize> {
             (0..3).all(|a| d[a] == 0 || c[a] == d[a])
         })
         .collect()
+}
+
+/// Position of direction `d` in the 27-entry per-direction tables,
+/// `(d0+1)*9 + (d1+1)*3 + (d2+1)`; the center is entry 13.
+#[inline(always)]
+fn dir_entry(d: [i8; 3]) -> usize {
+    (d[0] + 1) as usize * 9 + (d[1] + 1) as usize * 3 + (d[2] + 1) as usize
 }
 
 /// Precomputed [`pdfs_crossing`] sets for all 26 link directions.
@@ -57,7 +80,7 @@ impl CrossingTable {
     /// The crossing-PDF set for link direction `d`.
     #[inline(always)]
     pub fn qs(&self, d: [i8; 3]) -> &[usize] {
-        &self.sets[((d[0] + 1) as usize * 9) + ((d[1] + 1) as usize * 3) + (d[2] + 1) as usize]
+        &self.sets[dir_entry(d)]
     }
 
     /// The crossing-PDF set for the *reversed* direction `-d` — the set
@@ -125,21 +148,20 @@ pub fn unpack_face_with<M: LatticeModel, F: PdfField<M>>(
 
 /// Packs only the PDFs of *fluid* cells in the boundary slab toward the
 /// neighbor in direction `d`, preceded by a bitmap of which slab cells
-/// are included. This is the fluid-aware communication the paper
+/// are included, with [`unpack_face_sparse`] as its inverse. This is the
+/// ablation reference of fluid-aware communication, which the paper
 /// explicitly does *not* do ("our communication scheme is unaware of
-/// fluid lattice cells and therefore the amount of data communicated
-/// between neighboring blocks is the same as for densely populated
-/// blocks", §4.3) — provided here as the ablation/extension, with
-/// [`unpack_face_sparse`] as its inverse. For sparse vascular blocks this
-/// shrinks face messages by the (1 − fluid fraction) of the slab at the
-/// cost of one bit per slab cell and data-dependent message sizes.
+/// fluid lattice cells", §4.3): it rescans the flags on every call and
+/// ships the bitmap so the receiver needs no flags of its own. The driver
+/// sends the same fluid values without either cost, through
+/// [`GhostLists`] built once per block; `ablation_sparse_comm` prices the
+/// two against the dense exchange.
 pub fn pack_face_sparse<M: LatticeModel, F: PdfField<M>>(
     f: &F,
-    flags: &trillium_field::FlagField,
+    flags: &FlagField,
     d: [i8; 3],
     buf: &mut Vec<u8>,
 ) {
-    use trillium_field::FlagOps;
     let shape = f.shape();
     let region = shape.boundary_slab(d, shape.ghost);
     let qs = pdfs_crossing::<M>(d);
@@ -182,22 +204,183 @@ pub fn unpack_face_sparse<M: LatticeModel, F: PdfField<M>>(f: &mut F, d: [i8; 3]
     assert!(buf.is_empty(), "sparse ghost message has trailing bytes");
 }
 
-/// Direct ghost copy between two blocks owned by the same process:
-/// `dst` has `src` as its neighbor in direction `d`.
-pub fn copy_face_local<M: LatticeModel, A: PdfField<M>, B: PdfField<M>>(
-    src: &A,
-    dst: &mut B,
-    d: [i8; 3],
-) {
-    // Equivalent to pack on src toward −d, unpack on dst from d, without
-    // the byte round trip.
-    let sregion = src.shape().boundary_slab([-d[0], -d[1], -d[2]], src.shape().ghost);
-    let dregion = dst.shape().ghost_slab(d, dst.shape().ghost);
-    let qs = pdfs_crossing::<M>([-d[0], -d[1], -d[2]]);
-    assert_eq!(sregion.num_cells(), dregion.num_cells(), "block size mismatch across link");
-    for ((sx, sy, sz), (dx, dy, dz)) in sregion.iter().zip(dregion.iter()) {
-        for &q in &qs {
-            dst.set(dx, dy, dz, q, src.get(sx, sy, sz, q));
+/// The fluid slab lists of one block, the driver's ghost exchange.
+///
+/// For each of the 26 link directions `d` it holds two lists of linear
+/// cell indices ([`Shape::idx`]), in slab iteration order:
+/// - [`GhostLists::send`]`(d)`: the fluid cells of `boundary_slab(d)`,
+///   whose crossing PDFs go to the neighbor in direction `d`;
+/// - [`GhostLists::recv`]`(d)`: the fluid cells of `ghost_slab(d)`, written
+///   with what that neighbor sends back.
+///
+/// The lists are a fixed function of the flag field, built once with the
+/// block; they are derived state, like the boundary links. Transfers run
+/// direction-major over the crossing set (`for q in qs { for i in list }`)
+/// through the parity-mapped slot of [`SoaPdfField::dir_slot`], so
+/// in-place blocks exchange correctly at both parities.
+///
+/// A transfer across a link pairs the sender's `send(d)` with the
+/// receiver's `recv(−d)` cell by cell. That holds whenever both blocks
+/// classify the shared cells alike (fluid or not); a disagreement shows as
+/// a length mismatch, which panics instead of corrupting the ghost layer.
+#[derive(Clone, Debug)]
+pub struct GhostLists {
+    shape: Shape,
+    /// Every list, concatenated: send lists by direction slot, then recv.
+    cells: Vec<u32>,
+    /// List `k` is `cells[start[k]..start[k + 1]]`: send lists at
+    /// `k = dir_entry(d)`, recv lists at `27 + dir_entry(d)`.
+    start: [u32; 55],
+}
+
+impl GhostLists {
+    /// Derives the lists from a flag field.
+    pub fn build(flags: &FlagField) -> Self {
+        let shape = flags.shape();
+        assert!(shape.alloc_cells() <= u32::MAX as usize, "block too large for u32 cell indices");
+        let mut cells = Vec::new();
+        let mut start = [0u32; 55];
+        for ghost_side in [false, true] {
+            let base = if ghost_side { 27 } else { 0 };
+            for k in 0..27 {
+                let d = [(k / 9) as i8 - 1, (k / 3 % 3) as i8 - 1, (k % 3) as i8 - 1];
+                if d != [0, 0, 0] {
+                    let slab = if ghost_side {
+                        shape.ghost_slab(d, shape.ghost)
+                    } else {
+                        shape.boundary_slab(d, shape.ghost)
+                    };
+                    for (x, y, z) in slab.iter() {
+                        if flags.flags(x, y, z).is_fluid() {
+                            cells.push(shape.idx(x, y, z) as u32);
+                        }
+                    }
+                }
+                start[base + k + 1] = cells.len() as u32;
+            }
+        }
+        cells.shrink_to_fit();
+        GhostLists { shape, cells, start }
+    }
+
+    fn list(&self, k: usize) -> &[u32] {
+        &self.cells[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+
+    /// Fluid cells of the boundary slab toward direction `d`.
+    #[inline]
+    pub fn send(&self, d: [i8; 3]) -> &[u32] {
+        self.list(dir_entry(d))
+    }
+
+    /// Fluid cells of the ghost slab in direction `d`.
+    #[inline]
+    pub fn recv(&self, d: [i8; 3]) -> &[u32] {
+        self.list(27 + dir_entry(d))
+    }
+
+    /// Appends the crossing PDFs `qs` ([`CrossingTable::qs`] of `d`) of the
+    /// fluid cells in `send(d)` to `buf`, little-endian `f64`.
+    pub fn pack<M: LatticeModel>(
+        &self,
+        f: &SoaPdfField<M>,
+        d: [i8; 3],
+        qs: &[usize],
+        buf: &mut Vec<u8>,
+    ) {
+        assert_eq!(f.shape(), self.shape, "ghost lists were built for another block shape");
+        let cells = self.send(d);
+        let at = buf.len();
+        buf.resize(at + qs.len() * cells.len() * 8, 0);
+        let mut out = buf[at..].chunks_exact_mut(8);
+        let data = f.data();
+        for &q in qs {
+            let (base, shift) = f.dir_slot(q);
+            // `cells` leads the zip so the chunk iterator is never
+            // advanced past the end of a direction.
+            for (&i, o) in cells.iter().zip(out.by_ref()) {
+                o.copy_from_slice(
+                    &data[(base + i as usize).wrapping_add_signed(shift)].to_le_bytes(),
+                );
+            }
+        }
+    }
+
+    /// Writes a message packed by the neighbor in direction `d` (which
+    /// packed toward `−d`) into the fluid cells of `recv(d)`; `qs` is
+    /// [`CrossingTable::qs_reversed`] of `d`.
+    pub fn unpack<M: LatticeModel>(
+        &self,
+        f: &mut SoaPdfField<M>,
+        d: [i8; 3],
+        qs: &[usize],
+        data: &[u8],
+    ) {
+        assert_eq!(f.shape(), self.shape, "ghost lists were built for another block shape");
+        let cells = self.recv(d);
+        assert_eq!(data.len(), qs.len() * cells.len() * 8, "ghost message size mismatch");
+        let mut vals = data.chunks_exact(8);
+        for &q in qs {
+            let (base, shift) = f.dir_slot(q);
+            let out = f.data_mut();
+            for (&i, v) in cells.iter().zip(vals.by_ref()) {
+                out[(base + i as usize).wrapping_add_signed(shift)] =
+                    f64::from_le_bytes(v.try_into().expect("8-byte chunks"));
+            }
+        }
+    }
+
+    /// Same-process transfer without a byte buffer: copies the crossing
+    /// PDFs `qs` ([`CrossingTable::qs`] of `d`) of `send(d)` in `src`
+    /// straight into `dst`'s ghost cells `to.recv(−d)`, where `dst` is the
+    /// neighbor of `src` in direction `d` and `to` its lists.
+    pub fn copy_to<M: LatticeModel>(
+        &self,
+        src: &SoaPdfField<M>,
+        d: [i8; 3],
+        qs: &[usize],
+        to: &GhostLists,
+        dst: &mut SoaPdfField<M>,
+    ) {
+        assert_eq!(src.shape(), self.shape, "ghost lists were built for another block shape");
+        assert_eq!(dst.shape(), to.shape, "ghost lists were built for another block shape");
+        let (from, into) = (self.send(d), to.recv([-d[0], -d[1], -d[2]]));
+        assert_eq!(from.len(), into.len(), "ghost list size mismatch across link");
+        let data = src.data();
+        for &q in qs {
+            let (sbase, sshift) = src.dir_slot(q);
+            let (dbase, dshift) = dst.dir_slot(q);
+            let out = dst.data_mut();
+            for (&i, &j) in from.iter().zip(into) {
+                out[(dbase + j as usize).wrapping_add_signed(dshift)] =
+                    data[(sbase + i as usize).wrapping_add_signed(sshift)];
+            }
+        }
+    }
+
+    /// Periodic self-transfer of one block: every fluid cell of the ghost
+    /// slab `recv(−d)` takes the crossing PDFs `qs` ([`CrossingTable::qs`]
+    /// of `d`) of the interior cell it wraps around to, one block extent
+    /// along `d` — exactly what a dense pack toward `d` unpacked into the
+    /// opposite slab writes there. The source cell is found by position,
+    /// not by pairing with `send(d)`, so a block may be periodic along an
+    /// axis whose ghost layer also carries walls.
+    pub fn wrap<M: LatticeModel>(&self, f: &mut SoaPdfField<M>, d: [i8; 3], qs: &[usize]) {
+        assert_eq!(f.shape(), self.shape, "ghost lists were built for another block shape");
+        let s = self.shape;
+        let extent = d[0] as isize * s.nx as isize
+            + d[1] as isize * (s.ny * s.stride_y()) as isize
+            + d[2] as isize * (s.nz * s.stride_z()) as isize;
+        let into = self.recv([-d[0], -d[1], -d[2]]);
+        for &q in qs {
+            let (base, shift) = f.dir_slot(q);
+            let data = f.data_mut();
+            for &j in into {
+                // Reads logical interior values and writes logical ghost
+                // values; the parity map is one-to-one, so no slot is both.
+                let to = (base + j as usize).wrapping_add_signed(shift);
+                data[to] = data[to.wrapping_add_signed(extent)];
+            }
         }
     }
 }
@@ -316,30 +499,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn local_copy_equals_pack_unpack() {
-        let shape = Shape::cube(5);
-        let mut a = AosPdfField::<D3Q19>::new(shape);
-        for (x, y, z) in shape.with_ghosts().iter() {
-            for q in 0..19 {
-                a.set(x, y, z, q, (x + 10 * y + 100 * z) as f64 + q as f64 * 0.001);
-            }
-        }
-        // Route 1: bytes.
-        let mut b1 = AosPdfField::<D3Q19>::new(shape);
-        let mut buf = Vec::new();
-        pack_face::<D3Q19, _>(&a, [0, 1, 0], &mut buf);
-        unpack_face::<D3Q19, _>(&mut b1, [0, -1, 0], &buf);
-        // Route 2: direct copy (a is b2's neighbor in −y).
-        let mut b2 = AosPdfField::<D3Q19>::new(shape);
-        copy_face_local::<D3Q19, _, _>(&a, &mut b2, [0, -1, 0]);
-        for (x, y, z) in shape.with_ghosts().iter() {
-            for q in 0..19 {
-                assert_eq!(b1.get(x, y, z, q), b2.get(x, y, z, q));
-            }
-        }
-    }
-
     /// Sparse packing transfers exactly the fluid cells' PDFs and leaves
     /// other ghost values untouched; on a fully fluid slab it matches the
     /// dense path values.
@@ -428,5 +587,150 @@ mod tests {
         let mut buf = Vec::new();
         pack_face::<D3Q19, _>(&a, [1, -1, 1], &mut buf);
         assert!(buf.is_empty());
+    }
+
+    /// A fluid pattern fixed in global cell coordinates, so two blocks
+    /// classify the cells they share alike (as voxelization does).
+    fn fluid_at(g: [i32; 3]) -> bool {
+        let h = (g[0] * 73_856_093) ^ (g[1] * 19_349_663) ^ (g[2] * 83_492_791);
+        h.rem_euclid(5) > 1
+    }
+
+    fn patterned_flags(shape: Shape, origin: [i32; 3]) -> FlagField {
+        use trillium_field::CellFlags;
+        let mut flags = FlagField::new(shape);
+        for (x, y, z) in shape.with_ghosts().iter() {
+            let fluid = fluid_at([origin[0] + x, origin[1] + y, origin[2] + z]);
+            flags.set_flags(x, y, z, if fluid { CellFlags::FLUID } else { CellFlags::NOSLIP });
+        }
+        flags
+    }
+
+    fn numbered_field(shape: Shape, offset: f64) -> SoaPdfField<D3Q19> {
+        let mut f = SoaPdfField::<D3Q19>::new(shape);
+        for (i, v) in f.data_mut().iter_mut().enumerate() {
+            *v = offset + i as f64;
+        }
+        f
+    }
+
+    #[test]
+    fn ghost_lists_hold_the_fluid_slab_cells_in_slab_order() {
+        let shape = Shape::new(5, 4, 6, 1);
+        let flags = patterned_flags(shape, [3, -2, 7]);
+        let lists = GhostLists::build(&flags);
+        let fluid_of = |r: trillium_field::Region| -> Vec<u32> {
+            r.iter()
+                .filter(|&(x, y, z)| flags.flags(x, y, z).is_fluid())
+                .map(|(x, y, z)| shape.idx(x, y, z) as u32)
+                .collect()
+        };
+        let mut total = 0;
+        for k in (0..27).filter(|&k| k != 13) {
+            let d = [(k / 9) as i8 - 1, (k / 3 % 3) as i8 - 1, (k % 3) as i8 - 1];
+            assert_eq!(lists.send(d), fluid_of(shape.boundary_slab(d, 1)).as_slice(), "{d:?}");
+            assert_eq!(lists.recv(d), fluid_of(shape.ghost_slab(d, 1)).as_slice(), "{d:?}");
+            total += lists.send(d).len();
+        }
+        assert!(total > 0 && total < shape.alloc_cells(), "pattern must be mixed");
+    }
+
+    /// Across every link direction and at both in-place parities, the list
+    /// pack/unpack and the direct copy write exactly what the dense
+    /// `pack_face_with`/`unpack_face_with` write on every fluid ghost cell,
+    /// and leave every other value alone.
+    #[test]
+    fn list_transfers_equal_the_dense_exchange_on_fluid_ghost_cells() {
+        let shape = Shape::new(5, 4, 6, 1);
+        let table = CrossingTable::new::<D3Q19>();
+        let ext = [shape.nx as i32, shape.ny as i32, shape.nz as i32];
+        let a_flags = patterned_flags(shape, [0, 0, 0]);
+        let a_lists = GhostLists::build(&a_flags);
+        for k in (0..27).filter(|&k| k != 13) {
+            let d = [(k / 9) as i8 - 1, (k / 3 % 3) as i8 - 1, (k % 3) as i8 - 1];
+            let rev = [-d[0], -d[1], -d[2]];
+            // B is A's neighbor in direction d.
+            let origin = [d[0] as i32 * ext[0], d[1] as i32 * ext[1], d[2] as i32 * ext[2]];
+            let b_flags = patterned_flags(shape, origin);
+            let b_lists = GhostLists::build(&b_flags);
+            assert_eq!(a_lists.send(d).len(), b_lists.recv(rev).len());
+            for parity in [false, true] {
+                let mut a = numbered_field(shape, 0.5);
+                let mut b = numbered_field(shape, 1.0e6);
+                a.set_parity(parity);
+                b.set_parity(parity);
+
+                let mut dense = b.clone();
+                let mut buf = Vec::new();
+                pack_face_with::<D3Q19, _>(&a, d, table.qs(d), &mut buf);
+                unpack_face_with::<D3Q19, _>(&mut dense, rev, table.qs_reversed(rev), &buf);
+
+                let mut listed = b.clone();
+                let mut msg = Vec::new();
+                a_lists.pack(&a, d, table.qs(d), &mut msg);
+                assert_eq!(msg.len(), table.qs(d).len() * a_lists.send(d).len() * 8);
+                b_lists.unpack(&mut listed, rev, table.qs_reversed(rev), &msg);
+
+                let mut copied = b.clone();
+                a_lists.copy_to(&a, d, table.qs(d), &b_lists, &mut copied);
+                assert!(copied.data() == listed.data(), "copy differs from message, {d:?}");
+
+                // Expected storage: B untouched except the crossing PDFs
+                // of its fluid ghost cells, which take the dense values.
+                let mut want = b.data().to_vec();
+                for (x, y, z) in shape.ghost_slab(rev, 1).iter() {
+                    if b_flags.flags(x, y, z).is_fluid() {
+                        for &q in table.qs(d) {
+                            let (base, shift) = b.dir_slot(q);
+                            let slot = (base + shape.idx(x, y, z)).wrapping_add_signed(shift);
+                            want[slot] = dense.get(x, y, z, q);
+                        }
+                    }
+                }
+                assert!(listed.data() == want.as_slice(), "{d:?} parity {parity}");
+            }
+        }
+    }
+
+    /// The periodic self-transfer equals a dense pack toward `d` unpacked
+    /// into the opposite ghost slab on every fluid ghost cell, and leaves
+    /// wall ghost cells alone — also along an axis that is periodic and
+    /// walled at once.
+    #[test]
+    fn periodic_wrap_equals_dense_round_trip_on_fluid_ghost_cells() {
+        use trillium_field::CellFlags;
+        let shape = Shape::new(4, 5, 3, 1);
+        let mut flags = FlagField::new(shape);
+        for (x, y, z) in shape.with_ghosts().iter() {
+            // A wall below −y only; everything else fluid.
+            let wall = y < 0;
+            flags.set_flags(x, y, z, if wall { CellFlags::NOSLIP } else { CellFlags::FLUID });
+        }
+        let lists = GhostLists::build(&flags);
+        let table = CrossingTable::new::<D3Q19>();
+        for k in (0..27).filter(|&k| k != 13) {
+            let d = [(k / 9) as i8 - 1, (k / 3 % 3) as i8 - 1, (k % 3) as i8 - 1];
+            let rev = [-d[0], -d[1], -d[2]];
+            for parity in [false, true] {
+                let mut f = numbered_field(shape, 2.0);
+                f.set_parity(parity);
+                let mut dense = f.clone();
+                let mut buf = Vec::new();
+                pack_face_with::<D3Q19, _>(&dense, d, table.qs(d), &mut buf);
+                unpack_face_with::<D3Q19, _>(&mut dense, rev, table.qs_reversed(rev), &buf);
+                let mut want = f.data().to_vec();
+                for (x, y, z) in shape.ghost_slab(rev, 1).iter() {
+                    if flags.flags(x, y, z).is_fluid() {
+                        for &q in table.qs(d) {
+                            let (base, shift) = f.dir_slot(q);
+                            let slot = (base + shape.idx(x, y, z)).wrapping_add_signed(shift);
+                            want[slot] = dense.get(x, y, z, q);
+                        }
+                    }
+                }
+                lists.wrap(&mut f, d, table.qs(d));
+                assert!(f.data() == want.as_slice(), "{d:?} parity {parity}");
+            }
+        }
     }
 }

@@ -15,7 +15,8 @@
 //! face/edge/corner link only the PDFs that actually cross that boundary
 //! are packed (5 per face cell, 1 per edge cell and none across corners
 //! for D3Q19), which is the communication-volume optimization the paper's
-//! performance model assumes.
+//! performance model assumes. Its per-block slab lists ([`GhostLists`])
+//! further restrict every transfer to fluid cells.
 //!
 //! [`fault`] adds deterministic, seed-driven fault injection (drop,
 //! duplication, reordering, fail-stop rank crash) and the runtime grows
@@ -30,7 +31,7 @@ pub mod runtime;
 
 pub use fault::{CrashSpec, FaultConfig, FaultEvent};
 pub use ghost::{
-    copy_face_local, pack_face, pack_face_sparse, pack_face_with, pdfs_crossing, unpack_face,
-    unpack_face_sparse, unpack_face_with, CrossingTable,
+    pack_face, pack_face_sparse, pack_face_with, pdfs_crossing, unpack_face, unpack_face_sparse,
+    unpack_face_with, CrossingTable, GhostLists,
 };
 pub use runtime::{CommCounters, CommError, Communicator, World};

@@ -1,5 +1,7 @@
 //! Per-block simulation state.
 
+use std::sync::OnceLock;
+use trillium_comm::{CrossingTable, GhostLists};
 use trillium_field::{CellFlags, FlagField, FlagOps, PdfField, RowIntervals, Shape, SoaPdfField};
 use trillium_kernels::{
     Backend, BackendKind, BoundaryLinks, BoundaryParams, Collision, SweepStats,
@@ -44,7 +46,8 @@ pub struct BlockSim {
     /// [`UpdateScheme::InPlace`]).
     pub dst: SoaPdfField<D3Q19>,
     /// Cell classification. Fixed after construction: the block's
-    /// [`BoundaryLinks`] and row intervals are derived from it once.
+    /// [`BoundaryLinks`], [`GhostLists`] and row intervals are derived
+    /// from it once.
     pub flags: FlagField,
     /// Row intervals for the sparse kernel (built from `flags`).
     pub intervals: RowIntervals,
@@ -53,6 +56,9 @@ pub struct BlockSim {
     /// Boundary links (built from `flags`), walked by the boundary sweeps
     /// and the momentum-exchange force.
     links: BoundaryLinks,
+    /// Fluid cells of the boundary and ghost slabs (built from `flags`),
+    /// walked by the ghost exchange.
+    pub(crate) ghosts: GhostLists,
     /// Kernel choice for this block.
     pub kernel: BlockKernel,
     /// Update scheme for this block — the *resolved* scheme that actually
@@ -102,6 +108,7 @@ impl BlockSim {
         src.fill_equilibrium(rho, u);
         let intervals = RowIntervals::build(&flags);
         let links = BoundaryLinks::build::<D3Q19>(&flags);
+        let ghosts = GhostLists::build(&flags);
         let kernel = if intervals.fluid_cells == shape.interior_cells() {
             BlockKernel::Dense
         } else {
@@ -119,6 +126,7 @@ impl BlockSim {
             intervals,
             boundary,
             links,
+            ghosts,
             kernel,
             scheme: resolved,
             requested_scheme: scheme,
@@ -174,6 +182,11 @@ impl BlockSim {
         &self.links
     }
 
+    /// The block's fluid slab lists.
+    pub fn ghost_lists(&self) -> &GhostLists {
+        &self.ghosts
+    }
+
     /// Runs the boundary sweep on the source field (call after ghost
     /// synchronization, before [`BlockSim::stream_collide`]).
     pub fn apply_boundaries(&mut self) {
@@ -202,7 +215,8 @@ impl BlockSim {
     /// [`BlockSim::apply_boundaries`] each step.
     pub fn sync_periodic(&mut self, axes: [bool; 3]) {
         use trillium_blockforest::NEIGHBOR_DIRS;
-        use trillium_comm::{pack_face, pdfs_crossing, unpack_face};
+        static TABLE: OnceLock<CrossingTable> = OnceLock::new();
+        let table = TABLE.get_or_init(CrossingTable::new::<D3Q19>);
         // Every face *and edge* whose nonzero components lie on periodic
         // axes wraps around: with two or three periodic axes the diagonal
         // PDFs crossing an edge must be transferred too, exactly as the
@@ -210,14 +224,12 @@ impl BlockSim {
         for d in NEIGHBOR_DIRS {
             let wrapping = (0..3).all(|a| d[a] == 0 || axes[a]);
             let has_any = (0..3).any(|a| d[a] != 0 && axes[a]);
-            if !wrapping || !has_any || pdfs_crossing::<D3Q19>(d).is_empty() {
+            if !wrapping || !has_any || table.qs(d).is_empty() {
                 continue;
             }
             // Data leaving through face/edge d wraps around and enters the
             // ghost slab on the opposite side (direction −d).
-            let mut buf = Vec::new();
-            pack_face::<D3Q19, _>(&self.src, d, &mut buf);
-            unpack_face::<D3Q19, _>(&mut self.src, [-d[0], -d[1], -d[2]], &buf);
+            self.ghosts.wrap(&mut self.src, d, table.qs(d));
         }
     }
 

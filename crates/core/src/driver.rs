@@ -1,8 +1,9 @@
 //! The distributed time loop.
 //!
 //! Each rank owns the blocks assigned to it by the load balancer and runs,
-//! per time step: (1) ghost-layer exchange with neighboring blocks —
-//! direct copies between same-rank blocks, messages over the communicator
+//! per time step: (1) ghost-layer exchange with neighboring blocks over
+//! each block's fluid slab lists ([`trillium_comm::GhostLists`]) — direct
+//! copies between same-rank blocks, messages over the communicator
 //! otherwise; (2) the boundary preparatory sweep; (3) the fused
 //! stream–collide kernel; buffers swap inside the kernel call. The
 //! per-rank split between kernel and communication wall time is recorded,
@@ -24,7 +25,7 @@ use std::time::{Duration, Instant};
 use trillium_blockforest::{
     dir_index, distribute, BlockId, BlockLink, DistributedForest, SetupForest, NEIGHBOR_DIRS,
 };
-use trillium_comm::{pack_face_with, unpack_face_with, Communicator, CrossingTable, World};
+use trillium_comm::{Communicator, CrossingTable, World};
 use trillium_field::{CellFlags, PdfField};
 use trillium_kernels::SweepStats;
 use trillium_lattice::{Relaxation, D3Q19};
@@ -765,7 +766,7 @@ pub(crate) fn dump_pdfs(view: &DistributedForest, blocks: &[BlockSim]) -> Vec<(u
 
 /// One time step of the overlapped schedule:
 ///
-/// 1. pack and post *all* sends (remote links), unpack same-rank links;
+/// 1. pack and post *all* sends (remote links), copy same-rank links;
 /// 2. while the remote messages are in flight, run the interior boundary
 ///    prep (obstacle cells, which never read the ghost layer) and the
 ///    interior-core stream–collide on every local block;
@@ -803,43 +804,9 @@ pub(crate) fn overlapped_step(
     force_mask: Option<CellFlags>,
     force_series: &mut Vec<[f64; 3]>,
 ) -> Result<(), trillium_comm::CommError> {
-    // ---- post sends ---------------------------------------------------
+    // ---- post sends; same-rank links complete immediately --------------
     let pack = rec.span(SpanKind::GhostPack);
-    ctx.begin_step(blocks.len());
-    for (bi, lb) in view.blocks.iter().enumerate() {
-        for (li, link) in lb.links.iter().enumerate() {
-            let d = NEIGHBOR_DIRS[li];
-            if ctx.table.qs(d).is_empty() {
-                continue; // corner links carry nothing for D3Q19
-            }
-            let rev = [-d[0], -d[1], -d[2]];
-            match link {
-                BlockLink::Border => {}
-                BlockLink::Local(nid) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    ctx.local.push((index_of[nid], rev, buf));
-                }
-                BlockLink::Remote(nid, r) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    comm.send(*r, ghost_tag(*nid, rev, step), buf);
-                    ctx.pairs.push((*r, ghost_tag(lb.id, d, step)));
-                    ctx.meta.push((bi, d));
-                    ctx.outstanding[bi] += 1;
-                }
-            }
-        }
-    }
-    // End of the send phase: release fault-delayed messages now, at a
-    // program point, so failure behavior stays deterministic.
-    comm.flush_delayed();
-    // Same-rank links complete immediately.
-    let local = std::mem::take(&mut ctx.local);
-    for (bi, d, buf) in local {
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &buf);
-        ctx.recycle(buf);
-    }
+    post_ghosts(comm, view, blocks, index_of, ctx, step);
     pack.finish();
     let in_flight = !ctx.pairs.is_empty();
 
@@ -890,8 +857,7 @@ pub(crate) fn overlapped_step(
         let (bi, d) = ctx.meta[i];
         ctx.pairs.swap_remove(i);
         ctx.meta.swap_remove(i);
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &data);
-        ctx.recycle(data);
+        ctx.unpack(&mut blocks[bi], d, data);
         drain.finish();
         ctx.outstanding[bi] -= 1;
         if ctx.outstanding[bi] == 0 {
@@ -1196,11 +1162,13 @@ fn rank_loop_rebalanced(
 }
 
 /// Reusable ghost-exchange state: the precomputed 26-direction crossing
-/// table plus buffers and bookkeeping vectors recycled across steps, so
-/// the per-step exchange fast path performs **no heap allocation** after
-/// warm-up. Received payloads are recycled into the next step's send
-/// buffers — the per-step send and receive counts are equal (every remote
-/// link is symmetric), so the pool reaches a steady state after one step.
+/// table plus message buffers and bookkeeping vectors recycled across
+/// steps, so the per-step exchange fast path performs **no heap
+/// allocation** after warm-up. Same-rank links need no buffer at all (they
+/// copy straight between the blocks' fields). Received payloads are
+/// recycled into the next step's send buffers — the per-step send and
+/// receive counts are equal (every remote link is symmetric), so the pool
+/// reaches a steady state after one step.
 pub(crate) struct GhostCtx {
     table: CrossingTable,
     pool: Vec<Vec<u8>>,
@@ -1208,8 +1176,6 @@ pub(crate) struct GhostCtx {
     pairs: Vec<(u32, u64)>,
     /// `(block index, direction)` per outstanding pair.
     meta: Vec<(usize, [i8; 3])>,
-    /// Packed same-rank transfers awaiting unpack.
-    local: Vec<(usize, [i8; 3], Vec<u8>)>,
     /// Outstanding remote messages per local block.
     outstanding: Vec<u32>,
     /// Accumulated sweep seconds per local block this step.
@@ -1226,7 +1192,6 @@ impl GhostCtx {
             pool: Vec::new(),
             pairs: Vec::new(),
             meta: Vec::new(),
-            local: Vec::new(),
             outstanding: Vec::new(),
             seconds: Vec::new(),
             forces: Vec::new(),
@@ -1237,7 +1202,6 @@ impl GhostCtx {
     fn begin_step(&mut self, num_blocks: usize) {
         self.pairs.clear();
         self.meta.clear();
-        self.local.clear();
         self.outstanding.clear();
         self.outstanding.resize(num_blocks, 0);
         self.seconds.clear();
@@ -1246,14 +1210,77 @@ impl GhostCtx {
         self.forces.resize(num_blocks, [0.0; 3]);
     }
 
-    fn take_buf(&mut self) -> Vec<u8> {
-        let mut b = self.pool.pop().unwrap_or_default();
-        b.clear();
-        b
+    /// Unpacks a message received from direction `d` into the fluid ghost
+    /// cells of `block` and recycles its buffer.
+    fn unpack(&mut self, block: &mut BlockSim, d: [i8; 3], data: Vec<u8>) {
+        block.ghosts.unpack(&mut block.src, d, self.table.qs_reversed(d), &data);
+        self.pool.push(data);
     }
+}
 
-    fn recycle(&mut self, buf: Vec<u8>) {
-        self.pool.push(buf);
+/// The send phase shared by both schedules, over the blocks' fluid slab
+/// lists. A same-rank link copies its sender's fluid boundary values
+/// straight into the receiver's fluid ghost cells (skipped when the list
+/// is empty). A remote link packs them into one message per step — empty
+/// when the list is — and records the receive it expects back from the
+/// symmetric link. Copies and packs read interior slabs and copies write
+/// ghost slabs, so the order is free and the result equals any two-phase
+/// pack-then-unpack scheme.
+fn post_ghosts(
+    comm: &mut Communicator,
+    view: &DistributedForest,
+    blocks: &mut [BlockSim],
+    index_of: &HashMap<BlockId, usize>,
+    ctx: &mut GhostCtx,
+    step: u64,
+) {
+    ctx.begin_step(blocks.len());
+    for (bi, lb) in view.blocks.iter().enumerate() {
+        for (li, link) in lb.links.iter().enumerate() {
+            let d = NEIGHBOR_DIRS[li];
+            let qs = ctx.table.qs(d);
+            if qs.is_empty() {
+                continue; // corner links carry nothing for D3Q19
+            }
+            let rev = [-d[0], -d[1], -d[2]];
+            match link {
+                BlockLink::Border => {}
+                BlockLink::Local(nid) => {
+                    if blocks[bi].ghosts.send(d).is_empty() {
+                        continue;
+                    }
+                    let (from, to) = pair_mut(blocks, bi, index_of[nid]);
+                    from.ghosts.copy_to(&from.src, d, qs, &to.ghosts, &mut to.src);
+                }
+                BlockLink::Remote(nid, r) => {
+                    let mut buf = ctx.pool.pop().unwrap_or_default();
+                    buf.clear();
+                    blocks[bi].ghosts.pack(&blocks[bi].src, d, qs, &mut buf);
+                    comm.send(*r, ghost_tag(*nid, rev, step), buf);
+                    // Symmetric link: we will receive the neighbor's data
+                    // for our ghost slab in direction d.
+                    ctx.pairs.push((*r, ghost_tag(lb.id, d, step)));
+                    ctx.meta.push((bi, d));
+                    ctx.outstanding[bi] += 1;
+                }
+            }
+        }
+    }
+    // End of the send phase: release fault-delayed messages now, at a
+    // program point, so failure behavior stays deterministic.
+    comm.flush_delayed();
+}
+
+/// The sending block `a` shared and the receiving block `b` mutable. A
+/// block is never its own neighbor: periodic axes need two root blocks.
+fn pair_mut(blocks: &mut [BlockSim], a: usize, b: usize) -> (&BlockSim, &mut BlockSim) {
+    assert_ne!(a, b, "a block cannot exchange ghosts with itself");
+    if a < b {
+        let (lo, hi) = blocks.split_at_mut(b);
+        (&lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = blocks.split_at_mut(a);
+        (&hi[0], &mut lo[b])
     }
 }
 
@@ -1262,7 +1289,7 @@ impl GhostCtx {
 /// expected messages are drained in posting order with blocking receives.
 ///
 /// Returns `(work, stall)` seconds: `work` is this rank's own exchange
-/// effort — packing, sending, and local unpacking — excluding the time
+/// effort — packing, sending, and same-rank copies — excluding the time
 /// blocked in `recv` waiting for neighbors. The distinction matters for
 /// load measurement: an underloaded rank spends most of the exchange
 /// *waiting* for its overloaded neighbors, and counting that wait as
@@ -1285,48 +1312,9 @@ pub(crate) fn exchange_ghosts(
     timeout: Option<Duration>,
     rec: &Recorder,
 ) -> Result<(f64, f64), trillium_comm::CommError> {
-    // Phase 1: pack everything. Local transfers are buffered the same way
-    // as remote ones; packs read interior slabs only, unpacks write ghost
-    // slabs only, so a two-phase scheme is race-free and identical in
-    // result to any interleaving.
+    // Phase 1: copy same-rank links, pack and send remote ones.
     let pack = rec.span(SpanKind::GhostPack);
-    ctx.begin_step(blocks.len());
-    for (bi, lb) in view.blocks.iter().enumerate() {
-        for (li, link) in lb.links.iter().enumerate() {
-            let d = NEIGHBOR_DIRS[li];
-            if ctx.table.qs(d).is_empty() {
-                continue; // corner links carry nothing for D3Q19
-            }
-            let rev = [-d[0], -d[1], -d[2]];
-            match link {
-                BlockLink::Border => {}
-                BlockLink::Local(nid) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    // The neighbor receives from direction −d.
-                    ctx.local.push((index_of[nid], rev, buf));
-                }
-                BlockLink::Remote(nid, r) => {
-                    let mut buf = ctx.take_buf();
-                    pack_face_with::<D3Q19, _>(&blocks[bi].src, d, ctx.table.qs(d), &mut buf);
-                    comm.send(*r, ghost_tag(*nid, rev, step), buf);
-                    // Symmetric link: we will receive the neighbor's data
-                    // for our ghost slab in direction d.
-                    ctx.pairs.push((*r, ghost_tag(lb.id, d, step)));
-                    ctx.meta.push((bi, d));
-                }
-            }
-        }
-    }
-    // End of the send phase: release fault-delayed messages now, at a
-    // program point, so failure behavior stays deterministic.
-    comm.flush_delayed();
-    // Phase 2: unpack local transfers and receive remote ones.
-    let local = std::mem::take(&mut ctx.local);
-    for (bi, d, buf) in local {
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &buf);
-        ctx.recycle(buf);
-    }
+    post_ghosts(comm, view, blocks, index_of, ctx, step);
     let work = pack.finish();
     let mut stall = 0.0;
     // The drain span covers unpacking; blocked waits are carved out into
@@ -1349,8 +1337,7 @@ pub(crate) fn exchange_ghosts(
                 res?
             }
         };
-        unpack_face_with::<D3Q19, _>(&mut blocks[bi].src, d, ctx.table.qs_reversed(d), &data);
-        ctx.recycle(data);
+        ctx.unpack(&mut blocks[bi], d, data);
     }
     drain.finish();
     Ok((work, stall))

@@ -210,6 +210,26 @@ impl<M: LatticeModel> SoaPdfField<M> {
         }
     }
 
+    /// Where logical direction `q` is stored under the current parity, for
+    /// code that walks linear cell indices: logical `(cell, q)` lives at
+    /// raw offset `base + cell + shift` of [`SoaPdfField::data`] — the
+    /// [`PdfField::get`] slot without the per-call coordinate arithmetic.
+    /// At even parity that is grid `q`, unshifted; at odd parity grid `q̄`,
+    /// shifted by the linear offset of `c_q`.
+    #[inline(always)]
+    pub fn dir_slot(&self, q: usize) -> (usize, isize) {
+        let n = self.shape.alloc_cells();
+        if self.parity {
+            let c = M::velocities()[q];
+            let shift = c[0] as isize
+                + c[1] as isize * self.shape.stride_y() as isize
+                + c[2] as isize * self.shape.stride_z() as isize;
+            (M::inverse()[q] * n, shift)
+        } else {
+            (q * n, 0)
+        }
+    }
+
     /// The dense grid of direction `q`.
     #[inline(always)]
     pub fn dir(&self, q: usize) -> &[f64] {
@@ -380,6 +400,27 @@ mod tests {
         f.set_parity(false);
         f.set(1, 1, 2, 4, -7.0);
         assert_eq!(f.dir(4)[shape.idx(1, 1, 2)], -7.0);
+    }
+
+    /// `dir_slot` addresses the same raw slot as the coordinate accessors,
+    /// at both parities.
+    #[test]
+    fn dir_slot_matches_accessor_slots() {
+        let shape = Shape::new(4, 3, 5, 1);
+        let mut f = SoaPdfField::<D3Q19>::new(shape);
+        for (i, v) in f.data_mut().iter_mut().enumerate() {
+            *v = i as f64;
+        }
+        for parity in [false, true] {
+            f.set_parity(parity);
+            for (x, y, z) in shape.interior().iter() {
+                for q in 0..19 {
+                    let (base, shift) = f.dir_slot(q);
+                    let raw = f.data()[(base + shape.idx(x, y, z)).wrapping_add_signed(shift)];
+                    assert_eq!(raw, f.get(x, y, z, q), "parity {parity} ({x},{y},{z}) q={q}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,22 +36,35 @@ pub fn classify_block<S: SignedDistance + ?Sized>(
     bb: &Aabb,
     cells: [usize; 3],
 ) -> BlockCoverage {
+    classify_block_counted(sdf, bb, cells).0
+}
+
+/// [`classify_block`] together with the number of cell centers inside the
+/// domain ([`block_fluid_cells`]): all of them or none when a shortcut
+/// decides, otherwise the count the exhaustive test already made, so a
+/// caller needing the count does not test every center a second time.
+pub fn classify_block_counted<S: SignedDistance + ?Sized>(
+    sdf: &S,
+    bb: &Aabb,
+    cells: [usize; 3],
+) -> (BlockCoverage, usize) {
+    let total = cells[0] * cells[1] * cells[2];
     let d = sdf.signed_distance(bb.center());
     let circum = bb.circumradius();
     if d > circum {
-        return BlockCoverage::Outside;
+        return (BlockCoverage::Outside, 0);
     }
     if d < -circum {
-        return BlockCoverage::FullyInside;
+        return (BlockCoverage::FullyInside, total);
     }
     // The surface passes near the block: test cell centers exhaustively.
     let n = block_fluid_cells(sdf, bb, cells);
-    let total = cells[0] * cells[1] * cells[2];
-    match n {
+    let coverage = match n {
         0 => BlockCoverage::Outside,
         n if n == total => BlockCoverage::FullyInside,
         _ => BlockCoverage::Intersecting,
-    }
+    };
+    (coverage, n)
 }
 
 /// Counts the cell centers of a block grid lying inside the domain.
@@ -114,7 +127,12 @@ impl VoxelizeConfig {
 ///
 /// `origin` is the physical position of the lower corner of interior cell
 /// `(0, 0, 0)`; `dx` the isotropic cell size. Ghost cells are classified
-/// too (they mirror what the neighboring block computes for them).
+/// too. A ghost cell is fluid exactly when the neighboring block marks the
+/// same cell fluid, provided both evaluate its center to the same point
+/// (`origin + (i + ½)·dx` from either block's origin); the ghost exchange
+/// relies on that agreement, which `tests/ghost_lists.rs` checks. Whether
+/// a non-fluid ghost cell is boundary, and with which flag, may differ:
+/// the hull dilation sees only this block's ghost layer.
 pub fn voxelize_block<S: SignedDistance + ?Sized>(
     sdf: &S,
     origin: Vec3,
@@ -196,6 +214,22 @@ mod tests {
                         _ => BlockCoverage::Intersecting,
                     };
                     assert_eq!(classify_block(&s, &bb, [6, 6, 6]), expect, "block at {lo:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counted_classification_returns_the_exhaustive_count() {
+        let s = sphere();
+        for bx in -2..2 {
+            for by in -2..2 {
+                for bz in -2..2 {
+                    let lo = vec3(bx as f64 * 0.8, by as f64 * 0.8, bz as f64 * 0.8);
+                    let bb = Aabb::new(lo, lo + vec3(0.8, 0.8, 0.8));
+                    let (cov, n) = classify_block_counted(&s, &bb, [6, 5, 4]);
+                    assert_eq!(cov, classify_block(&s, &bb, [6, 5, 4]));
+                    assert_eq!(n, block_fluid_cells(&s, &bb, [6, 5, 4]), "block at {lo:?}");
                 }
             }
         }
